@@ -275,9 +275,9 @@ func runCampaign(ctx context.Context, cfg runConfig, st *store.Store) error {
 	root := rec.Root("campaign", fmt.Sprintf("campaign %s", cfg.campaign)).Begin()
 	root.SetAttr("profiles", cfg.campaign).SetAttr("members", len(c.Specs))
 	// -workers: federate members across a worker fleet through the
-	// same dispatcher dramscoped's coordinator mode uses. Members no
-	// worker can take decline back to the local pool, so a dead fleet
-	// degrades to a plain local campaign.
+	// same executor dramscoped's coordinator mode uses. Members no
+	// worker can take run on the local pool, so a dead fleet degrades
+	// to a plain local campaign.
 	var fed *serve.Federator
 	opt := expt.CampaignOptions{
 		Jobs:    cfg.spec.Jobs,
@@ -312,8 +312,9 @@ func runCampaign(ctx context.Context, cfg runConfig, st *store.Store) error {
 		},
 	}
 	if urls := cli.SplitList(cfg.workers); len(urls) > 0 {
-		fed = serve.NewFederator(serve.FederationOptions{Workers: urls})
-		opt.Place = fed.Place
+		fed = serve.NewFederator(serve.FederationOptions{Workers: urls},
+			&expt.Local{Pool: expt.NewPool(cfg.spec.Jobs), Store: st})
+		opt.Executor = fed
 	}
 	rep, err := c.Run(opt)
 	if err != nil {

@@ -2,13 +2,13 @@
 // fleet results (376 chips across three vendors and several
 // generations), so the natural request above a single RunSpec is an
 // ordered list of them — the Table I catalog crossed with a seed list,
-// or a profiles glob. A campaign schedules its runs over one shared
-// worker-token pool with per-run store memoization (a warm campaign
-// skips straight to aggregation), reproduces each spec's report
-// byte-identically to a solo run of the same spec, and rolls the
-// recovered Table III rows and error counts up per vendor and per
-// generation into a deterministic cross-device aggregate report,
-// assembled in spec order.
+// or a profiles glob. A campaign runs its specs through one Executor
+// (by default a Local over one shared worker-token pool) with per-run
+// store memoization (a warm campaign skips straight to aggregation),
+// reproduces each spec's report byte-identically to a solo run of the
+// same spec, and rolls the recovered Table III rows and error counts
+// up per vendor and per generation into a deterministic cross-device
+// aggregate report, assembled in spec order.
 
 package expt
 
@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -37,10 +36,10 @@ type Campaign struct {
 
 // CampaignOptions configures one Campaign run.
 type CampaignOptions struct {
-	// Jobs is the worker-token pool shared by every run in the
-	// campaign; <= 0 means GOMAXPROCS. A run holds at least one token
-	// while executing (taking up to its spec's Jobs hint
-	// opportunistically), so the campaign's total concurrency is
+	// Jobs sizes the default executor's worker-token pool, shared by
+	// every run in the campaign; <= 0 means GOMAXPROCS. A run holds at
+	// least one token while executing (taking up to its spec's Jobs
+	// hint opportunistically), so the campaign's total concurrency is
 	// bounded no matter how many specs it fans out.
 	Jobs int
 	// Factory builds each spec's suite; nil means DefaultSuite.
@@ -52,7 +51,7 @@ type CampaignOptions struct {
 	// warmed through the same store.
 	Store *store.Store
 	// Context, when non-nil, cancels the campaign: runs that have not
-	// started are not executed and carry the context error in their
+	// finished carry the context error, and no report, in their
 	// summaries.
 	Context context.Context
 	// OnRun, when non-nil, is invoked once per spec as its run
@@ -62,38 +61,19 @@ type CampaignOptions struct {
 	// metadata: the campaign report stays byte-identical with or
 	// without a callback, cold or warm.
 	OnRun func(index, total int, res *CampaignRunResult)
-	// Place, when non-nil, offers each member to an external executor
-	// (a federated worker fleet) after store memoization but before
-	// the member takes a local worker token. A returned Placement is
-	// the member's result; a nil Placement declines the member back to
-	// the local pool. Because the placement contract requires the
-	// returned report to be byte-identical to a solo run of the spec,
-	// Place can change where a member runs but never a byte of the
-	// aggregate.
-	Place PlaceFunc
+	// Executor runs every member the store does not answer; nil means
+	// a Local executor over a pool of Jobs tokens and Store. Because an
+	// executor must return reports byte-identical to a solo run of the
+	// spec, it can change where a member runs (a federated worker
+	// fleet) but never a byte of the aggregate.
+	Executor Executor
 	// Trace, when non-nil, is the campaign root span: one
-	// "member:<index>" child per spec (created in spec order before any
-	// run starts), with each member's suite spans below it. If the
-	// owning recorder has no trace ID yet, Run derives one from the
-	// resolved member digests, so equal campaigns trace under equal
-	// IDs. The member span is also put on the Place context, so a
-	// federated placement can hang its dispatch spans under it.
+	// "member:<index>" child per spec (MemberSpans, created in spec
+	// order before any run starts), with each member's execution spans
+	// below it. If the owning recorder has no trace ID yet, Run derives
+	// one from the resolved member digests, so equal campaigns trace
+	// under equal IDs.
 	Trace *trace.Span
-}
-
-// PlaceFunc offers one campaign member to an external executor.
-// Returning (nil, err) declines the member — it runs locally and err
-// is advisory context for the decline, never a member failure.
-type PlaceFunc func(ctx context.Context, index int, rs *ResolvedSpec) (*Placement, error)
-
-// Placement is an externally executed member: its report bytes —
-// byte-identical to a solo run of the spec, which is the contract
-// dramscoped workers enforce by digest verification — and the
-// run-level failure embedded in them, if any (mirroring
-// CampaignRunResult.Err for a failed member).
-type Placement struct {
-	Report []byte
-	Err    error
 }
 
 // CampaignRunResult is one spec's outcome, delivered through
@@ -105,8 +85,8 @@ type CampaignRunResult struct {
 	// Spec is the resolved spec this run executed.
 	Spec *ResolvedSpec
 	// Report is the run's exact JSON report — byte-identical to a solo
-	// Suite.Run (or `experiments -json`) of the same spec. Nil only if
-	// the run failed before producing one.
+	// Suite.Run (or `experiments -json`) of the same spec. Nil if the
+	// run failed before producing one or was canceled.
 	Report []byte
 	// Err is the run-level failure: planning errors, cancellation, or
 	// the joined per-experiment failures (Report is still set for the
@@ -115,18 +95,17 @@ type CampaignRunResult struct {
 	// Cached reports the run was served from the store without
 	// executing. Out-of-band: never in the campaign report.
 	Cached bool
-	// Remote reports the run was executed through
-	// CampaignOptions.Place instead of the local pool. Out-of-band:
+	// Remote reports a federated worker executed the run. Out-of-band:
 	// never in the campaign report.
 	Remote bool
 	// Elapsed is the run's wall time. Out-of-band.
 	Elapsed time.Duration
-	// ProbeCost is the run's probe-chain command bill (zero for cached
-	// and store-warmed runs). Out-of-band.
+	// ProbeCost is the run's probe-chain command bill (zero for cached,
+	// remote, and store-warmed runs). Out-of-band.
 	ProbeCost host.Counters
 }
 
-// Run executes every spec over a shared worker-token pool and returns
+// Run executes every spec through the campaign's executor and returns
 // the aggregate report. Per-run failures do not abort the campaign —
 // they are folded into the report's summaries and surfaced through
 // CampaignReport.Err; the returned error is reserved for campaign-level
@@ -143,6 +122,10 @@ func (c *Campaign) Run(opt CampaignOptions) (*CampaignReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	exec := opt.Executor
+	if exec == nil {
+		exec = &Local{Pool: NewPool(opt.Jobs), Store: opt.Store}
+	}
 	// Resolve every spec up front: a campaign with one bad spec is
 	// rejected whole, before any device work runs.
 	resolved := make([]*ResolvedSpec, len(c.Specs))
@@ -154,39 +137,7 @@ func (c *Campaign) Run(opt CampaignOptions) (*CampaignReport, error) {
 		}
 		resolved[i], suites[i] = rs, suite
 	}
-
-	// Trace wiring: name the trace after the member digests (unless the
-	// caller already did) and pre-create one member span per spec, in
-	// spec order, so the tree shape never depends on scheduling.
-	var memberSpans []*trace.Span
-	if opt.Trace != nil {
-		if rec := opt.Trace.Recorder(); rec.TraceID() == "" {
-			parts := make([]string, len(resolved))
-			for i, rs := range resolved {
-				parts[i] = rs.Digest()
-			}
-			rec.SetTraceID(trace.DeriveID(parts...))
-		}
-		memberSpans = make([]*trace.Span, len(resolved))
-		for i, rs := range resolved {
-			m := opt.Trace.Child(fmt.Sprintf("member:%06d", i),
-				fmt.Sprintf("member %d %s seed %d", i, rs.Profile, rs.Seed))
-			m.SetAttr("index", i)
-			m.SetAttr("digest", rs.Digest())
-			m.SetAttr("profile", rs.Profile)
-			m.SetAttr("seed", rs.Seed)
-			memberSpans[i] = m
-		}
-	}
-
-	jobs := opt.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	tokens := make(chan struct{}, jobs)
-	for i := 0; i < jobs; i++ {
-		tokens <- struct{}{}
-	}
+	members := MemberSpans(opt.Trace, resolved)
 
 	results := make([]CampaignRunResult, len(resolved))
 	var wg sync.WaitGroup
@@ -197,11 +148,7 @@ func (c *Campaign) Run(opt CampaignOptions) (*CampaignReport, error) {
 			res := &results[i]
 			res.Index = i
 			res.Spec = resolved[i]
-			var mspan *trace.Span
-			if memberSpans != nil {
-				mspan = memberSpans[i]
-			}
-			mspan.Begin()
+			mspan := members[i].Begin()
 			start := time.Now()
 			defer func() {
 				res.Elapsed = time.Since(start)
@@ -218,126 +165,28 @@ func (c *Campaign) Run(opt CampaignOptions) (*CampaignReport, error) {
 			}()
 			// Store memoization: a persisted report for this canonical
 			// spec is the run, byte for byte — no token, no suite.
+			key := store.ReportKey{Spec: resolved[i].Canonical()}
 			if opt.Store != nil {
-				key := store.ReportKey{Spec: resolved[i].Canonical()}
-				if data, ok := opt.Store.LoadReport(key); ok && storedReportMatches(data, resolved[i].Names) {
-					res.Report = data
-					res.Cached = true
-					return
-				}
-			}
-			// Placement hook: offer the member to the external
-			// executor. A decline (nil placement) falls through to the
-			// local pool; an accepted placement is the run, written
-			// through to the store like a local completion so the next
-			// campaign memoizes it.
-			if opt.Place != nil && ctx.Err() == nil {
-				// The member span rides the context (PlaceFunc's
-				// signature is trace-agnostic); a federated executor
-				// hangs its dispatch spans under it.
-				if p, _ := opt.Place(trace.NewContext(ctx, mspan), i, resolved[i]); p != nil {
-					res.Report = p.Report
-					res.Err = p.Err
-					res.Remote = true
-					if opt.Store != nil && p.Err == nil {
-						_ = opt.Store.SaveReport(store.ReportKey{Spec: resolved[i].Canonical()}, p.Report)
+				if data, ok := opt.Store.LoadReport(key); ok {
+					if _, err := SplitReport(data, resolved[i].Names); err == nil {
+						res.Report = data
+						res.Cached = true
+						return
 					}
-					return
 				}
 			}
-			got := acquireTokens(ctx, tokens, resolved[i].Jobs)
-			if got == 0 {
-				res.Err = ctx.Err()
-				return
-			}
-			defer releaseTokens(tokens, got)
-			spec := resolved[i].RunSpec
-			spec.Jobs = got
-			rep, err := suites[i].Run(Options{Spec: spec, Context: ctx, Store: opt.Store, Trace: mspan})
+			ex := exec.Execute(ctx, Task{Spec: resolved[i], Suite: suites[i], Parent: mspan})
+			res.Report, res.Err, res.Remote = ex.Report, ex.Err, ex.Remote
 			res.ProbeCost = suites[i].ProbeCost()
-			if err != nil {
-				res.Err = err
-				return
-			}
-			data, err := rep.JSON()
-			if err != nil {
-				res.Err = err
-				return
-			}
-			res.Report = data
-			if ctx.Err() != nil {
-				res.Err = ctx.Err()
-				return
-			}
-			if rerr := rep.Err(); rerr != nil {
-				res.Err = rerr
-				return
-			}
-			if opt.Store != nil {
+			if opt.Store != nil && ex.Err == nil {
 				// Write-through, best-effort: a full disk must not fail
 				// a finished run.
-				_ = opt.Store.SaveReport(store.ReportKey{Spec: resolved[i].Canonical()}, data)
+				_ = opt.Store.SaveReport(key, ex.Report)
 			}
 		}(i)
 	}
 	wg.Wait()
 	return AggregateCampaign(results)
-}
-
-// acquireTokens blocks until the run holds at least one worker token,
-// then greedily takes up to want-1 more without blocking — the same
-// admission discipline the serve manager uses. Returns 0 if ctx was
-// canceled while still queued.
-func acquireTokens(ctx context.Context, tokens chan struct{}, want int) int {
-	if want < 1 || want > cap(tokens) {
-		want = cap(tokens)
-	}
-	got := 0
-	select {
-	case <-tokens:
-		got = 1
-	case <-ctx.Done():
-		return 0
-	}
-	for got < want {
-		select {
-		case <-tokens:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-func releaseTokens(tokens chan struct{}, n int) {
-	for i := 0; i < n; i++ {
-		tokens <- struct{}{}
-	}
-}
-
-// storedReportMatches sanity-checks a persisted report against the
-// resolved selection before trusting it as the run: same experiment
-// count, same names, same order. Any mismatch reads as a miss and the
-// run executes normally.
-func storedReportMatches(report []byte, names []string) bool {
-	var doc struct {
-		Experiments []struct {
-			Name string `json:"name"`
-		} `json:"experiments"`
-	}
-	if err := json.Unmarshal(report, &doc); err != nil {
-		return false
-	}
-	if len(doc.Experiments) != len(names) {
-		return false
-	}
-	for i, e := range doc.Experiments {
-		if e.Name != names[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CampaignRunSummary is one run's deterministic summary in the

@@ -23,11 +23,33 @@ func soloSpecReport(t *testing.T, spec RunSpec) []byte {
 	return data
 }
 
-// TestCampaignPlaceHook: a Place hook that accepts some members (with
-// externally produced solo bytes) and declines the rest changes
-// nothing about the campaign's bytes — placed members are marked
-// Remote, declined ones execute locally, and the aggregate is
-// byte-identical to the unplaced run.
+// execFunc adapts a function to Executor.
+type execFunc func(ctx context.Context, task Task) Execution
+
+func (f execFunc) Execute(ctx context.Context, task Task) Execution { return f(ctx, task) }
+
+// memberExec builds an executor that hands each task to f together
+// with the member's index in campaignSpecs, found by spec digest.
+func memberExec(t *testing.T, f func(ctx context.Context, index int, task Task) Execution) Executor {
+	t.Helper()
+	index := make(map[string]int)
+	for i, sp := range campaignSpecs() {
+		rs, _, err := ResolveSpec(sp, smallFactory(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		index[rs.Digest()] = i
+	}
+	return execFunc(func(ctx context.Context, task Task) Execution {
+		return f(ctx, index[task.Spec.Digest()], task)
+	})
+}
+
+// TestCampaignPlaceHook: an executor that places some members
+// elsewhere (with externally produced solo bytes) and runs the rest on
+// a local pool changes nothing about the campaign's bytes — placed
+// members are marked Remote, local ones are not, and the aggregate is
+// byte-identical to the default executor's run.
 func TestCampaignPlaceHook(t *testing.T) {
 	t.Parallel()
 	ref, _ := runCampaign(t, 2, CampaignOptions{})
@@ -37,13 +59,14 @@ func TestCampaignPlaceHook(t *testing.T) {
 	}
 
 	placed := soloSpecReport(t, campaignSpecs()[1])
+	local := &Local{Pool: NewPool(2)}
 	rep, results := runCampaign(t, 2, CampaignOptions{
-		Place: func(ctx context.Context, index int, rs *ResolvedSpec) (*Placement, error) {
+		Executor: memberExec(t, func(ctx context.Context, index int, task Task) Execution {
 			if index != 1 {
-				return nil, nil // decline back to the local pool
+				return local.Execute(ctx, task)
 			}
-			return &Placement{Report: placed}, nil
-		},
+			return Execution{Report: placed, Remote: true}
+		}),
 	})
 	got, err := rep.JSON()
 	if err != nil {
@@ -62,18 +85,18 @@ func TestCampaignPlaceHook(t *testing.T) {
 	}
 }
 
-// TestCampaignPlaceWriteThrough: an accepted placement writes through
-// to the campaign store exactly like a local execution, so a warm
-// rerun is all store hits with the identical aggregate.
+// TestCampaignPlaceWriteThrough: a placed member writes through to the
+// campaign store exactly like a local execution, so a warm rerun is
+// all store hits with the identical aggregate.
 func TestCampaignPlaceWriteThrough(t *testing.T) {
 	t.Parallel()
 	st := openStore(t)
 	specs := campaignSpecs()
 	cold, coldResults := runCampaign(t, 2, CampaignOptions{
 		Store: st,
-		Place: func(ctx context.Context, index int, rs *ResolvedSpec) (*Placement, error) {
-			return &Placement{Report: soloSpecReport(t, specs[index])}, nil
-		},
+		Executor: memberExec(t, func(ctx context.Context, index int, task Task) Execution {
+			return Execution{Report: soloSpecReport(t, specs[index]), Remote: true}
+		}),
 	})
 	coldJSON, err := cold.JSON()
 	if err != nil {
@@ -87,10 +110,10 @@ func TestCampaignPlaceWriteThrough(t *testing.T) {
 
 	warm, warmResults := runCampaign(t, 2, CampaignOptions{
 		Store: st,
-		Place: func(ctx context.Context, index int, rs *ResolvedSpec) (*Placement, error) {
-			t.Errorf("warm member %d reached the Place hook instead of the store", index)
-			return nil, nil
-		},
+		Executor: memberExec(t, func(ctx context.Context, index int, task Task) Execution {
+			t.Errorf("warm member %d reached the executor instead of the store", index)
+			return Execution{Err: errors.New("unexpected execution")}
+		}),
 	})
 	for i, res := range warmResults {
 		if !res.Cached {
@@ -106,22 +129,22 @@ func TestCampaignPlaceWriteThrough(t *testing.T) {
 	}
 }
 
-// TestCampaignPlaceError: a placement that resolves with an error and
-// no report is a run-level member failure, not a reason to re-execute
-// locally — it surfaces in the summaries like a local failure would,
-// without dropping the member from the aggregate.
+// TestCampaignPlaceError: a placed member that fails with no report is
+// a run-level member failure — it surfaces in the summaries like a
+// local failure would, without dropping the member from the aggregate.
 func TestCampaignPlaceError(t *testing.T) {
 	t.Parallel()
 	specs := campaignSpecs()
+	local := &Local{Pool: NewPool(2)}
 	c := &Campaign{Specs: specs}
 	rep, err := c.Run(CampaignOptions{
 		Factory: smallFactory(t),
-		Place: func(ctx context.Context, index int, rs *ResolvedSpec) (*Placement, error) {
+		Executor: memberExec(t, func(ctx context.Context, index int, task Task) Execution {
 			if index == 0 {
-				return &Placement{Err: errors.New("member failed on its worker")}, nil
+				return Execution{Err: errors.New("member failed on its worker"), Remote: true}
 			}
-			return nil, nil
-		},
+			return local.Execute(ctx, task)
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package expt
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -253,5 +255,41 @@ func TestCampaignRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := (&Campaign{}).Run(CampaignOptions{Factory: smallFactory(t)}); err == nil {
 		t.Fatal("empty campaign not rejected")
+	}
+}
+
+// TestCampaignCanceledMemberHasNoReport: a member whose campaign is
+// canceled while it runs carries the context error and no report, even
+// though its suite finished — the bytes of a run cut short must never
+// pass for the spec's report (experiments -campaign-runs writes every
+// member report under its spec digest).
+func TestCampaignCanceledMemberHasNoReport(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	factory := func(profile string, seed uint64) (*Suite, error) {
+		s := NewSuite(seed)
+		err := s.Register(Experiment{Name: "interrupt", Title: "Interrupt", Run: func(j *Job) error {
+			cancel() // Ctrl-C arrives while the member executes
+			j.Printf("finished anyway\n")
+			return nil
+		}})
+		return s, err
+	}
+	var got CampaignRunResult
+	c := &Campaign{Specs: []RunSpec{{Seed: 3}}}
+	rep, err := c.Run(CampaignOptions{Factory: factory, Context: ctx,
+		OnRun: func(_, _ int, res *CampaignRunResult) { got = *res }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Report != nil {
+		t.Fatalf("canceled member carries a report:\n%s", got.Report)
+	}
+	if !errors.Is(got.Err, context.Canceled) {
+		t.Fatalf("canceled member error = %v, want context.Canceled", got.Err)
+	}
+	if rep.Runs[0].Error == "" {
+		t.Fatal("canceled member's summary records no error")
 	}
 }

@@ -253,9 +253,11 @@ func TestCampaignTrace(t *testing.T) {
 	for _, want := range []string{
 		"campaign",
 		"campaign/member:000000",
-		"campaign/member:000000/expt:part/unit:000003/kernel",
+		"campaign/member:000000/queue",
+		"campaign/member:000000/execute/expt:part/unit:000003/kernel",
 		"campaign/member:000001",
-		"campaign/member:000001/expt:head",
+		"campaign/member:000001/queue",
+		"campaign/member:000001/execute/expt:head",
 	} {
 		if !paths[want] {
 			t.Errorf("missing campaign span %q; have %v", want, pathList(recs))

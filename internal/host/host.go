@@ -24,11 +24,11 @@ import (
 )
 
 // Target is the device interface the host drives. *chip.Chip
-// implements it.
+// implements it. ExecBatch is the production path (Hammer and Press
+// issue ACT trains as batches); Exec is the scalar reference.
 type Target interface {
 	Exec(sim.Command) (uint64, error)
 	ExecBatch(b sim.Batch, out []uint64) error
-	Pulse(bank, row, n int, tOn, tGap sim.Time) error
 	AdvanceTo(sim.Time) error
 	Now() sim.Time
 	Rows() int

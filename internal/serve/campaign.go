@@ -162,22 +162,15 @@ func (m *Manager) StartCampaign(req CampaignRequest, client string) (*campaign, 
 		lines:     make([][]byte, len(specs)),
 	}
 	// The campaign trace is named by its member digests — the same
-	// derivation the CLI campaign layer uses, so an identical campaign
+	// MemberSpans the CLI campaign runner uses, so an identical campaign
 	// has identical span IDs wherever it runs.
-	parts := make([]string, len(specs))
-	for i, rs := range specs {
-		parts[i] = rs.Digest()
-	}
-	c.rec = trace.New(trace.DeriveID(parts...))
+	c.rec = trace.New("")
 	c.root = c.rec.Root("campaign", fmt.Sprintf("campaign of %d members", len(specs))).Begin()
 	c.root.SetAttr("members", len(specs))
+	c.memberSpans = expt.MemberSpans(c.root, specs)
 
 	for i := range specs {
-		ms := c.root.Child(fmt.Sprintf("member:%06d", i),
-			fmt.Sprintf("member %s seed %d", specs[i].Profile, specs[i].Seed)).Begin()
-		ms.SetAttr("index", i).SetAttr("digest", specs[i].Digest()).
-			SetAttr("profile", specs[i].Profile).SetAttr("seed", specs[i].Seed)
-		c.memberSpans = append(c.memberSpans, ms)
+		ms := c.memberSpans[i].Begin()
 		// Members are admitted pinned: a warm campaign's members are
 		// terminal immediately, and retention must not evict them
 		// before the stream surfaces their run ids.

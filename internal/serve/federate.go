@@ -17,13 +17,15 @@ import (
 )
 
 // This file is the coordinator half of federated campaigns: when the
-// server is configured with worker node URLs (-workers), every
-// admitted execution — campaign member or solo run alike — is handed
-// to the Federator, which places it on a worker over the HTTP API
-// (internal/serve/dispatch), tracks per-node health and free capacity,
-// retries faulted members on other nodes, steals members that outlive
-// the member timeout, and falls back to a local execution when no
-// worker can take the member.
+// server is configured with worker node URLs (-workers), every fresh
+// execution — campaign member, solo run, or promoted follower alike —
+// goes through the Federator, the expt.Executor that places it on a
+// worker over the HTTP API (internal/serve/dispatch), tracks per-node
+// health and free capacity, retries faulted members on other nodes,
+// steals members that outlive the member timeout, and falls back to
+// its local executor when no worker can take the member.
+// cmd/experiments -workers runs CLI campaigns through the same
+// executor.
 //
 // The byte-identity contract — a federated campaign aggregate and
 // every per-member report are identical to the single-process run for
@@ -35,7 +37,7 @@ import (
 //     byte is trusted (a worker with a diverging catalog or suite is a
 //     fault, not a different answer);
 //   - the report bytes come back verbatim and are validated against
-//     the member's resolved selection (linesFromReport) before the
+//     the member's resolved selection (expt.SplitReport) before the
 //     run completes with them;
 //   - the aggregate is only ever assembled by expt.AggregateCampaign
 //     in spec order, the same pure function the solo path uses;
@@ -72,9 +74,13 @@ type fedWorker struct {
 	downUntil time.Time // faulted: out of placement until this instant
 }
 
-// Federator shards admitted executions across worker nodes.
+// Federator shards executions across worker nodes. It implements
+// expt.Executor.
 type Federator struct {
 	opts FederationOptions
+
+	// local runs the members no worker can take.
+	local *expt.Local
 
 	// leaveOnCancel decides what a canceled dispatch does with its
 	// remote run: false cancels it on the worker too (a client DELETE
@@ -101,12 +107,9 @@ type Federator struct {
 	workers []*fedWorker
 }
 
-// errNoWorkers: every worker is down, at capacity, or already faulted
-// on this member — the caller runs the member locally.
-var errNoWorkers = errors.New("serve: no federated worker available")
-
-// NewFederator builds a dispatcher over the given worker base URLs.
-func NewFederator(opts FederationOptions) *Federator {
+// NewFederator builds a dispatcher over the given worker base URLs,
+// with local as the fallback for members no worker can take.
+func NewFederator(opts FederationOptions, local *expt.Local) *Federator {
 	if opts.Poll <= 0 {
 		opts.Poll = 100 * time.Millisecond
 	}
@@ -115,6 +118,7 @@ func NewFederator(opts FederationOptions) *Federator {
 	}
 	f := &Federator{
 		opts:          opts,
+		local:         local,
 		leaveOnCancel: func() bool { return false },
 		pick:          pickMostFree,
 	}
@@ -144,17 +148,6 @@ func pickMostFree(eligible []*fedWorker) *fedWorker {
 	return best
 }
 
-// remoteResult is a validated remote completion: the worker's terminal
-// state, its report bytes verbatim, and the stream lines rebuilt from
-// them (absent wall-time metadata, like any replayed report).
-type remoteResult struct {
-	state   string
-	report  []byte
-	lines   [][]byte
-	errMsg  string
-	errKind string
-}
-
 // fedVerdict classifies one placement attempt.
 type fedVerdict int
 
@@ -182,50 +175,51 @@ func (v fedVerdict) String() string {
 	}
 }
 
-// Execute places one resolved spec on the fleet, retrying faulted and
+// Execute places the task's spec on the fleet, retrying faulted and
 // timed-out attempts on other nodes, until a worker returns a
-// validated terminal result. errNoWorkers means every node is down,
-// busy, or already faulted on this member — the caller falls back to a
-// local execution. A member that *failed deterministically* on a
-// worker (a report with embedded experiment errors) is a result, not a
-// fault: by the determinism contract it fails identically everywhere,
-// so it is never retried.
-func (f *Federator) Execute(ctx context.Context, rs *expt.ResolvedSpec) (*remoteResult, error) {
-	// The caller's span (the run root, or a campaign member span) is
-	// the parent of every dispatch attempt. Each attempt gets its own
+// validated terminal result. When every node is down, busy, or already
+// faulted on this member, the task runs on the local executor instead.
+// A member that *failed deterministically* on a worker (a report with
+// embedded experiment errors) is a result, not a fault: by the
+// determinism contract it fails identically everywhere, so it is never
+// retried.
+func (f *Federator) Execute(ctx context.Context, t expt.Task) expt.Execution {
+	// The task's parent span (the run root, or a campaign member span)
+	// is the parent of every dispatch attempt. Each attempt gets its own
 	// "dispatch:NNNNNN" child carrying the worker, the verdict, and —
 	// on retries — a retry mark; the winning attempt grafts the
 	// worker's exported subtree underneath itself, stitching one tree.
-	parent := trace.FromContext(ctx)
+	canceled := func() expt.Execution { return expt.Execution{Err: ctx.Err(), Canceled: true} }
 	tried := make(map[string]bool)
 	attempt := 0
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return canceled()
 		}
 		w := f.pickWorker(ctx, tried)
 		if w == nil {
-			return nil, errNoWorkers
+			f.fallbackLocal.Add(1)
+			return f.local.Execute(ctx, t)
 		}
 		f.dispatched.Add(1)
-		d := parent.Child(fmt.Sprintf("dispatch:%06d", attempt), "dispatch "+w.url).Begin()
+		d := t.Parent.Child(fmt.Sprintf("dispatch:%06d", attempt), "dispatch "+w.url).Begin()
 		d.SetAttr("worker", w.url)
 		if attempt > 0 {
 			d.SetAttr("retry", attempt)
 		}
 		attempt++
-		res, verdict := f.runOn(ctx, w, rs, d)
+		ex, verdict := f.runOn(ctx, w, t.Spec, d)
 		d.SetAttr("verdict", verdict.String())
 		d.End()
 		f.done(w)
 		switch verdict {
 		case fedOK:
-			if res.state == StateDone {
+			if ex.Err == nil {
 				f.remoteDone.Add(1)
 			} else {
 				f.remoteFailed.Add(1)
 			}
-			return res, nil
+			return *ex
 		case fedBusy:
 			tried[w.url] = true
 		case fedFault:
@@ -236,7 +230,7 @@ func (f *Federator) Execute(ctx context.Context, rs *expt.ResolvedSpec) (*remote
 			tried[w.url] = true
 			f.stolen.Add(1)
 		default: // fedCanceled
-			return nil, ctx.Err()
+			return canceled()
 		}
 	}
 }
@@ -304,7 +298,7 @@ func (f *Federator) markDown(w *fedWorker) {
 // (carrying the trace link so the worker roots its subtree under the
 // dispatch span d), verify the digest, poll to a terminal state, fetch
 // and validate the report, then graft the worker's trace.
-func (f *Federator) runOn(ctx context.Context, w *fedWorker, rs *expt.ResolvedSpec, d *trace.Span) (*remoteResult, fedVerdict) {
+func (f *Federator) runOn(ctx context.Context, w *fedWorker, rs *expt.ResolvedSpec, d *trace.Span) (*expt.Execution, fedVerdict) {
 	seed := rs.Seed
 	req := dispatch.Request{
 		Profile:        rs.Profile,
@@ -387,8 +381,7 @@ func (f *Federator) runOn(ctx context.Context, w *fedWorker, rs *expt.ResolvedSp
 		}
 		return nil, fedFault
 	}
-	lines, err := linesFromReport(report, rs.Names)
-	if err != nil {
+	if _, err := expt.SplitReport(report, rs.Names); err != nil {
 		// The bytes do not parse as this member's selection; refuse
 		// them outright.
 		return nil, fedFault
@@ -403,13 +396,11 @@ func (f *Federator) runOn(ctx context.Context, w *fedWorker, rs *expt.ResolvedSp
 			}
 		}
 	}
-	return &remoteResult{
-		state:   st.State,
-		report:  report,
-		lines:   lines,
-		errMsg:  st.Error,
-		errKind: st.ErrorKind,
-	}, fedOK
+	ex := &expt.Execution{Report: report, Remote: true, Budget: st.ErrorKind == ErrorKindBudget}
+	if st.State != dispatch.StateDone {
+		ex.Err = errors.New(st.Error)
+	}
+	return ex, fedOK
 }
 
 // cancelRemote best-effort cancels a run on a worker, detached from
@@ -443,89 +434,6 @@ func (f *Federator) Snapshot() MetricsFederation {
 	}
 	f.mu.Unlock()
 	return out
-}
-
-// Place adapts the federator to expt.CampaignOptions.Place, so
-// cmd/experiments -workers federates CLI campaigns through the same
-// dispatcher the server uses. A member no worker can take is declined
-// back to the caller's local pool.
-func (f *Federator) Place(ctx context.Context, index int, rs *expt.ResolvedSpec) (*expt.Placement, error) {
-	res, err := f.Execute(ctx, rs)
-	if err != nil {
-		if errors.Is(err, errNoWorkers) {
-			f.fallbackLocal.Add(1)
-		}
-		return nil, err
-	}
-	p := &expt.Placement{Report: res.report}
-	if res.state != StateDone {
-		p.Err = errors.New(res.errMsg)
-	}
-	return p, nil
-}
-
-// startRemoteExec launches one dispatch goroutine under the shutdown
-// WaitGroup — the federated twin of startExec.
-func (m *Manager) startRemoteExec(ctx context.Context, r *run, suite *expt.Suite) {
-	m.execWG.Add(1)
-	go func() {
-		defer m.execWG.Done()
-		m.remoteExec(ctx, r, suite)
-	}()
-}
-
-// remoteExec places one admitted execution on the worker fleet. Its
-// outcomes mirror exec's: a validated remote terminal state completes
-// the run with the worker's exact report bytes; cancellation (client
-// DELETE or shutdown drain) finishes it canceled; and an unplaceable
-// member — every worker down, busy, or already faulted on it — falls
-// back to a local execution, so a coordinator with no live workers
-// degrades to a plain dramscoped instead of wedging its campaigns.
-func (m *Manager) remoteExec(ctx context.Context, r *run, suite *expt.Suite) {
-	res, err := m.fed.Execute(trace.NewContext(ctx, r.root), r.spec)
-	switch {
-	case err == nil:
-		m.completeRemote(r, res)
-		m.finishExecution(r)
-	case ctx.Err() != nil:
-		r.finish(StateCanceled, nil, ctx.Err().Error())
-		m.finishExecution(r)
-	default:
-		m.fed.fallbackLocal.Add(1)
-		m.metrics.executed.Add(1)
-		m.exec(ctx, r, suite)
-	}
-}
-
-// completeRemote finishes a run with a worker's validated result,
-// entering it into the LRU and writing it through to the store exactly
-// as a local execution would — the shared cache tier that makes any
-// re-dispatch of the same spec free.
-func (m *Manager) completeRemote(r *run, res *remoteResult) {
-	r.mu.Lock()
-	if r.state == StateRunning {
-		for i, line := range res.lines {
-			if i < len(r.lines) && r.lines[i] == nil {
-				r.lines[i] = line
-				r.completed++
-			}
-		}
-		r.errKind = res.errKind
-	}
-	r.mu.Unlock()
-	r.finish(res.state, res.report, res.errMsg)
-	if res.state != StateDone {
-		return
-	}
-	m.cache.add(&cacheEntry{
-		key:    r.spec.Digest(),
-		names:  r.spec.Names,
-		report: res.report,
-		lines:  res.lines,
-	})
-	if m.artifacts != nil {
-		_ = m.artifacts.SaveReport(storeKey(r.spec), res.report)
-	}
 }
 
 // isDraining reports whether the manager is shutting down — the signal

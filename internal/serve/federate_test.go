@@ -12,6 +12,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func newCoordinator(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		srv.mgr.fed.opts.Cooldown = time.Minute
 	}
 	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() { drain(t, srv, ts) })
 	return srv, ts
 }
 
@@ -46,7 +47,7 @@ func newWorker(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
 	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() { drain(t, srv, ts) })
 	return srv, ts
 }
 
@@ -74,7 +75,7 @@ func newFaultyWorker(t *testing.T, cfg Config) *faultyWorker {
 	t.Helper()
 	fw := &faultyWorker{backend: New(cfg)}
 	fw.backendTS = httptest.NewServer(fw.backend)
-	t.Cleanup(fw.backendTS.Close)
+	t.Cleanup(func() { drain(t, fw.backend, fw.backendTS) })
 	u, err := url.Parse(fw.backendTS.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -403,6 +404,75 @@ func TestFederatedKillMidMember(t *testing.T) {
 	}
 	if n := w2.mgr.metrics.executed.Load(); n != 1 {
 		t.Errorf("worker 2 executed %d runs, want 1 (the retry)", n)
+	}
+}
+
+// TestFederatedPromotedFollower: canceling the leader of a coalesced
+// flight on a coordinator promotes its follower, and the follower's
+// re-execution federates like every fresh execution — it is dispatched
+// to the fleet, never run on the coordinator.
+func TestFederatedPromotedFollower(t *testing.T) {
+	t.Parallel()
+	var workerExecs, coordExecs atomic.Int64
+	starts := make(chan struct{}, 16)
+	release := make(chan struct{})
+	// Budget 2 with jobs:1 runs: the canceled leader's parked suite
+	// keeps one worker token until release, and the promoted
+	// follower's suite needs the other.
+	_, wts := newWorker(t, Config{
+		Factory: countingBlockingFactory(&workerExecs, starts, release),
+		Budget:  2, CacheSize: -1,
+	})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unpark) // runs before the worker drains
+	srv, ts := newCoordinator(t, Config{
+		Factory: countingBlockingFactory(&coordExecs, make(chan struct{}, 16), release),
+		Workers: []string{wts.URL}, CacheSize: -1,
+	})
+	awaitStart := func(what string) {
+		t.Helper()
+		select {
+		case <-starts:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never started executing on the worker", what)
+		}
+	}
+
+	leader, resp := postRun(t, ts, `{"seed":9,"jobs":1}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("leader POST status = %d", resp.StatusCode)
+	}
+	awaitStart("the leader")
+	follower, _ := postRun(t, ts, `{"seed":9,"jobs":1}`)
+	if !follower.Coalesced {
+		t.Fatalf("second identical POST not coalesced: %+v", follower)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/runs/"+leader.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	awaitStart("the promoted follower")
+	unpark()
+
+	final := waitDone(t, ts, follower.ID)
+	if final.State != StateDone {
+		t.Fatalf("promoted follower state = %s (err %q), want done", final.State, final.Error)
+	}
+	got, _ := getReport(t, ts, follower.ID)
+	if want := soloReport(t, &coordExecs, 9); !bytes.Equal(got, want) {
+		t.Fatalf("promoted follower's report differs from a solo run:\ngot:  %s\nwant: %s", got, want)
+	}
+	if fs := srv.mgr.fed.Snapshot(); fs.Dispatched != 2 || fs.FallbackLocal != 0 {
+		t.Errorf("federation metrics = %+v, want dispatched=2 (leader + promoted follower) and no fallback", fs)
+	}
+	if n := coordExecs.Load(); n != 0 {
+		t.Errorf("coordinator ran %d suites, want 0: the promoted follower must federate", n)
+	}
+	if n := srv.mgr.metrics.executed.Load(); n != 0 {
+		t.Errorf("coordinator metrics executed = %d, want 0", n)
 	}
 }
 

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // This file is the single-flight half of admission: concurrent
 // requests for the same spec digest share one suite execution. The
@@ -140,27 +137,30 @@ func (m *Manager) watchFlight(fl *flight) {
 
 // promote hands the flight to its first still-live follower after the
 // leader was canceled: the follower's own retained (fresh, unrun)
-// suite executes in the leader's place. The re-execution occupies the
-// worker slot the canceled leader just released, so it bypasses the
-// admission queue check; it was admitted once already. Returns false —
-// dissolving the flight — when no live follower remains or the manager
-// is draining.
+// suite executes in the leader's place, through the manager's executor
+// like any fresh execution (so a coordinator federates it). The
+// re-execution occupies the slot the canceled leader just released,
+// so it bypasses the admission queue check; it was admitted once
+// already. Returns false — dissolving the flight — when no live
+// follower remains or the manager is draining. The flight is
+// unregistered under the same admission lock that found it empty, so
+// no request can join a flight that is about to finish canceled.
 func (m *Manager) promote(fl *flight) bool {
-	m.mu.Lock()
-	draining := m.draining
-	m.mu.Unlock()
-	if draining {
-		return false
-	}
 	for {
+		m.mu.Lock()
 		fl.mu.Lock()
-		if len(fl.followers) == 0 {
+		if m.draining || len(fl.followers) == 0 {
+			if m.flights[fl.digest] == fl {
+				delete(m.flights, fl.digest)
+			}
 			fl.mu.Unlock()
+			m.mu.Unlock()
 			return false
 		}
 		f := fl.followers[0]
 		fl.followers = fl.followers[1:]
 		fl.mu.Unlock()
+		m.mu.Unlock()
 
 		f.mu.Lock()
 		if f.state != StateRunning || f.suite == nil {
@@ -170,8 +170,6 @@ func (m *Manager) promote(fl *flight) bool {
 		suite := f.suite
 		f.suite = nil
 		f.coalesced = false // it executes now; its report is its own
-		ctx, cancel := context.WithCancel(context.Background())
-		f.cancel = cancel
 		f.mu.Unlock()
 
 		fl.mu.Lock()
@@ -179,8 +177,7 @@ func (m *Manager) promote(fl *flight) bool {
 		fl.mu.Unlock()
 
 		m.addOutstanding(1)
-		m.metrics.executed.Add(1)
-		m.startExec(ctx, f, suite)
+		m.startExec(f, suite)
 		return true
 	}
 }

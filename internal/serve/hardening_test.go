@@ -459,7 +459,7 @@ func TestShutdownDrains(t *testing.T) {
 		Budget:  1, CacheSize: -1, Store: st1,
 	})
 	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() { drain(t, h, ts) })
 
 	running, _ := postRun(t, ts, `{"seed":7}`)
 	<-starts // mid-run: the experiment is executing and parked
@@ -504,7 +504,7 @@ func TestShutdownDrains(t *testing.T) {
 		Budget:  1, CacheSize: -1, Store: st2,
 	})
 	ts2 := httptest.NewServer(h2)
-	t.Cleanup(ts2.Close)
+	t.Cleanup(func() { drain(t, h2, ts2) })
 	re, resp := postRun(t, ts2, `{"seed":7}`)
 	if resp.StatusCode != http.StatusAccepted || re.Cached {
 		t.Fatalf("rerun after shutdown: status=%d cached=%v — a partial report leaked into the store",

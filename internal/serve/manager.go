@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -17,9 +16,10 @@ import (
 )
 
 // Manager owns every run the server has accepted: it validates and
-// admits requests (canonicalized into expt.RunSpec), schedules them
-// against a bounded worker budget shared across all concurrent runs
-// and campaigns, supports cancellation, and serves repeated requests
+// admits requests (canonicalized into expt.RunSpec), hands every fresh
+// execution to one expt.Executor — a Local over a worker pool shared
+// across all concurrent runs and campaigns, or the Federator on a
+// coordinator — supports cancellation, and serves repeated requests
 // from an LRU result cache keyed by the spec digest.
 //
 // Admission is built for heavy traffic: the cache check, single-flight
@@ -30,13 +30,14 @@ import (
 // rejection (ErrQueueFull / ErrQuotaExceeded → 429).
 type Manager struct {
 	factory SuiteFactory
-	// budget is the shared worker-token pool. A run blocks until it
-	// holds at least one token, then opportunistically takes up to its
-	// requested job count; tokens return when the run finishes. The
-	// report is byte-identical for any token count (the suite
-	// contract), so admission timing can never change a result.
-	budget chan struct{}
-	cache  *resultCache
+	// pool is the shared worker-token pool local executions run on; its
+	// size also bounds the admission queue.
+	pool *expt.Pool
+	// exec runs every fresh execution — flight leader, promoted
+	// follower, campaign member alike: a Local over pool, or on a
+	// coordinator the Federator with that Local as its fallback.
+	exec  expt.Executor
+	cache *resultCache
 
 	// artifacts, when non-nil, is the persistent store backing the
 	// in-memory LRU: finished reports are written through to it, LRU
@@ -60,10 +61,10 @@ type Manager struct {
 	// activation-budget cap (see clientQuota).
 	quota *clientQuota
 
-	// fed, when non-nil, makes this manager a federation coordinator:
-	// admitted executions are dispatched to worker nodes instead of
-	// the local suite, with a local execution as the fallback of last
-	// resort (see federate.go).
+	// fed, when non-nil, is exec on a federation coordinator: admitted
+	// executions are dispatched to worker nodes instead of the local
+	// pool, with a local execution as the fallback of last resort (see
+	// federate.go). Kept for its /metrics counters.
 	fed *Federator
 
 	metrics *metrics
@@ -148,18 +149,17 @@ const defaultMaxQueue = 64
 // (<= 0 means GOMAXPROCS) and result-cache capacity in entries
 // (< 0 disables caching; 0 means the default of 64).
 func NewManager(factory SuiteFactory, budget, cacheSize int) *Manager {
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
 	if cacheSize == 0 {
 		cacheSize = 64
 	}
 	if cacheSize < 0 {
 		cacheSize = 0
 	}
+	pool := expt.NewPool(budget)
 	m := &Manager{
 		factory:   factory,
-		budget:    make(chan struct{}, budget),
+		pool:      pool,
+		exec:      &expt.Local{Pool: pool},
 		cache:     newResultCache(cacheSize),
 		retain:    defaultRetainTerminal,
 		maxQueue:  defaultMaxQueue,
@@ -168,9 +168,6 @@ func NewManager(factory SuiteFactory, budget, cacheSize int) *Manager {
 		flights:   make(map[string]*flight),
 		pinned:    make(map[string]bool),
 		campaigns: make(map[string]*campaign),
-	}
-	for i := 0; i < budget; i++ {
-		m.budget <- struct{}{}
 	}
 	return m
 }
@@ -198,9 +195,7 @@ type run struct {
 	coalesced bool
 	state     string
 	completed int
-	queueWait time.Duration // admission to worker-token acquisition
-	probeCost host.Counters // probe-chain commands this run's suite spent
-	lines     [][]byte      // per-experiment NDJSON payloads, by report index
+	lines     [][]byte // per-experiment NDJSON payloads, by report index
 	report    []byte
 	errMsg    string
 	errKind   string
@@ -343,7 +338,7 @@ func (m *Manager) admitRun(rs *expt.ResolvedSpec, suite *expt.Suite, opts admitO
 		f.addFollower(r)
 	} else {
 		if !opts.reserved {
-			if m.outstanding >= m.maxQueue+cap(m.budget) {
+			if m.outstanding >= m.maxQueue+m.pool.Size() {
 				m.mu.Unlock()
 				m.metrics.rejectedQueue.Add(1)
 				return nil, ErrQueueFull
@@ -393,22 +388,10 @@ func (m *Manager) admitRun(rs *expt.ResolvedSpec, suite *expt.Suite, opts admitO
 			// executing; the flight watcher fans the result out to any
 			// followers that joined while the store was consulted.
 			m.metrics.storeHits.Add(1)
-			r.completeFromEntry(e)
 			m.releaseAdmission(r)
+			r.completeFromEntry(e)
 		} else {
-			ctx, cancel := context.WithCancel(context.Background())
-			r.mu.Lock()
-			r.cancel = cancel
-			r.mu.Unlock()
-			if m.fed != nil {
-				// Coordinator mode: hand the execution to the worker
-				// fleet. The remote path only ticks `executed` if it
-				// falls back to a local suite run.
-				m.startRemoteExec(ctx, r, suite)
-			} else {
-				m.metrics.executed.Add(1)
-				m.startExec(ctx, r, suite)
-			}
+			m.startExec(r, suite)
 		}
 	}
 	m.prune()
@@ -440,7 +423,7 @@ func (r *run) completeFromEntry(e *cacheEntry) {
 func (m *Manager) reserveSlots(n int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.draining || m.outstanding+n > m.maxQueue+cap(m.budget) {
+	if m.draining || m.outstanding+n > m.maxQueue+m.pool.Size() {
 		return false
 	}
 	m.outstanding += n
@@ -486,9 +469,9 @@ func storeKey(rs *expt.ResolvedSpec) store.ReportKey {
 // loadStored consults the persistent store for a finished report and,
 // on a hit, rehydrates a full cache entry (report bytes plus the
 // per-experiment stream lines, reconstructed from the report) and
-// promotes it into the LRU. Any inconsistency — report shape, count or
-// name mismatch against the resolved selection — is a miss; the run
-// then executes normally and overwrites the entry.
+// promotes it into the LRU. A report that fails expt.SplitReport
+// against the resolved selection is a miss; the run then executes
+// normally and overwrites the entry.
 func (m *Manager) loadStored(rs *expt.ResolvedSpec) (*cacheEntry, bool) {
 	if m.artifacts == nil {
 		return nil, false
@@ -497,7 +480,7 @@ func (m *Manager) loadStored(rs *expt.ResolvedSpec) (*cacheEntry, bool) {
 	if !ok {
 		return nil, false
 	}
-	lines, err := linesFromReport(report, rs.Names)
+	lines, err := replayLines(report, rs.Names)
 	if err != nil {
 		return nil, false
 	}
@@ -506,30 +489,20 @@ func (m *Manager) loadStored(rs *expt.ResolvedSpec) (*cacheEntry, bool) {
 	return e, true
 }
 
-// linesFromReport rebuilds the NDJSON stream payloads from a persisted
-// report: one StreamEvent per experiment, in report order, carrying
-// the exact experiment object the report holds (compacted — the
-// stream format is compact JSON). Wall-time metadata is absent by
-// design: it belongs to the run that executed, not to a replay.
-func linesFromReport(report []byte, names []string) ([][]byte, error) {
-	var doc struct {
-		Experiments []json.RawMessage `json:"experiments"`
+// replayLines rebuilds the NDJSON stream payloads of a report that did
+// not stream through this process — a store entry or a worker's
+// response — once expt.SplitReport accepts it: one StreamEvent per
+// experiment, in report order, carrying the exact experiment object
+// the report holds (compacted — the stream format is compact JSON).
+// Wall-time metadata is absent by design: it belongs to the run that
+// executed, not to a replay.
+func replayLines(report []byte, names []string) ([][]byte, error) {
+	exps, err := expt.SplitReport(report, names)
+	if err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(report, &doc); err != nil {
-		return nil, fmt.Errorf("serve: stored report: %w", err)
-	}
-	if len(doc.Experiments) != len(names) {
-		return nil, fmt.Errorf("serve: stored report has %d experiments, selection has %d",
-			len(doc.Experiments), len(names))
-	}
-	lines := make([][]byte, len(names))
-	for i, raw := range doc.Experiments {
-		var id struct {
-			Name string `json:"name"`
-		}
-		if err := json.Unmarshal(raw, &id); err != nil || id.Name != names[i] {
-			return nil, fmt.Errorf("serve: stored report entry %d is %q, want %q", i, id.Name, names[i])
-		}
+	lines := make([][]byte, len(exps))
+	for i, raw := range exps {
 		// A raw-prefix twin of StreamEvent: same field names and order,
 		// with the experiment embedded verbatim (json.Marshal compacts
 		// RawMessage, matching the live stream's compact encoding).
@@ -537,7 +510,7 @@ func linesFromReport(report []byte, names []string) ([][]byte, error) {
 			Index      int             `json:"index"`
 			Total      int             `json:"total"`
 			Experiment json.RawMessage `json:"experiment"`
-		}{i, len(names), raw})
+		}{i, len(exps), raw})
 		if err != nil {
 			return nil, err
 		}
@@ -586,123 +559,66 @@ func (m *Manager) prune() {
 	m.order = kept
 }
 
-// acquire blocks until the run holds at least one worker token, then
-// greedily takes up to want-1 more without blocking. Returns 0 if the
-// run was canceled while still queued.
-func (m *Manager) acquire(ctx context.Context, want int) int {
-	if want < 1 {
-		want = cap(m.budget)
-	}
-	if want > cap(m.budget) {
-		want = cap(m.budget)
-	}
-	got := 0
-	select {
-	case <-m.budget:
-		got = 1
-	case <-ctx.Done():
-		return 0
-	}
-	for got < want {
-		select {
-		case <-m.budget:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-func (m *Manager) release(n int) {
-	for i := 0; i < n; i++ {
-		m.budget <- struct{}{}
-	}
-}
-
-// startExec launches one execution goroutine under the shutdown
+// startExec launches one fresh execution under the shutdown
 // WaitGroup.
-func (m *Manager) startExec(ctx context.Context, r *run, suite *expt.Suite) {
+func (m *Manager) startExec(r *run, suite *expt.Suite) {
+	ctx, cancel := context.WithCancel(context.Background())
+	r.mu.Lock()
+	r.cancel = cancel
+	if r.state != StateRunning {
+		cancel() // canceled between admission and launch
+	}
+	r.mu.Unlock()
 	m.execWG.Add(1)
 	go func() {
 		defer m.execWG.Done()
-		m.exec(ctx, r, suite)
+		m.execute(ctx, r, suite)
 	}()
 }
 
-// exec runs one admitted request to completion on the shared pool.
-func (m *Manager) exec(ctx context.Context, r *run, suite *expt.Suite) {
-	defer m.finishExecution(r)
-	q := r.root.Child("queue", "queue").Begin()
-	m.metrics.waiting.Add(1)
-	workers := m.acquire(ctx, r.spec.Jobs)
-	m.metrics.waiting.Add(-1)
-	q.End()
-	r.mu.Lock()
-	r.queueWait = time.Since(r.admitted)
-	r.mu.Unlock()
-	if workers == 0 {
-		r.finish(StateCanceled, nil, context.Canceled.Error())
-		return
+// execute runs one admitted request through the manager's executor and
+// completes it. A clean report enters the LRU and the store before the
+// run turns done, so a client that sees "done" — or a same-digest
+// request admitted once the flight is gone — finds it cached.
+func (m *Manager) execute(ctx context.Context, r *run, suite *expt.Suite) {
+	ex := m.exec.Execute(ctx, expt.Task{Spec: r.spec, Suite: suite, Parent: r.root, OnResult: r.onResult})
+	if ex.Workers > 0 {
+		m.metrics.executed.Add(1)
+		m.metrics.addSuiteCost(suite.ProbeCost(), suite.ActivationsUsed())
 	}
-	q.SetAttr("workers", workers)
-	m.metrics.running.Add(1)
-	defer func() {
-		m.release(workers)
-		m.metrics.running.Add(-1)
-	}()
-
-	ex := r.root.Child("execute", "execute").Begin()
-	spec := r.spec.RunSpec
-	spec.Jobs = workers
-	rep, err := suite.Run(expt.Options{
-		Spec:     spec,
-		Context:  ctx,
-		OnResult: r.onResult,
-		Store:    m.artifacts,
-		Trace:    ex,
-	})
-	ex.End()
-	m.metrics.addSuiteCost(suite.ProbeCost(), suite.ActivationsUsed())
-	r.mu.Lock()
-	r.probeCost = suite.ProbeCost()
-	r.mu.Unlock()
+	if ex.Remote {
+		// A worker's report arrives whole: replay it into the stream.
+		r.replay(ex.Report)
+	}
+	state, errMsg, errKind := StateDone, "", ""
 	switch {
-	case err != nil:
-		// Planning/registration failure: nothing ran.
-		r.finish(StateFailed, nil, err.Error())
-	case ctx.Err() != nil:
-		r.finish(StateCanceled, nil, ctx.Err().Error())
-	default:
-		data, jerr := rep.JSON()
-		if jerr != nil {
-			r.finish(StateFailed, nil, jerr.Error())
-			return
-		}
-		if rerr := rep.Err(); rerr != nil {
-			// Per-experiment failures: the report (with embedded
-			// errors) is still served, like cmd/experiments -json. A
-			// budget stop is classified so clients can tell "raise the
-			// cap" from "fix the experiment".
-			if rep.BudgetExceeded() != nil {
-				r.setErrKind(ErrorKindBudget)
-			}
-			r.finish(StateFailed, data, rerr.Error())
-			return
-		}
-		r.finish(StateDone, data, "")
+	case ex.Canceled:
+		state = StateCanceled
+	case ex.Err != nil:
+		state = StateFailed
+	}
+	if ex.Err != nil {
+		errMsg = ex.Err.Error()
+	}
+	if ex.Budget {
+		errKind = ErrorKindBudget
+	}
+	if state == StateDone {
 		m.cache.add(&cacheEntry{
 			key:    r.spec.Digest(),
 			names:  r.spec.Names,
-			report: data,
+			report: ex.Report,
 			lines:  r.snapshotLines(),
 		})
 		if m.artifacts != nil {
 			// Write-through, best-effort: a full disk must not fail a
 			// finished run, it only costs the next process a re-run.
-			_ = m.artifacts.SaveReport(storeKey(r.spec), data)
+			_ = m.artifacts.SaveReport(storeKey(r.spec), ex.Report)
 		}
 	}
+	m.releaseAdmission(r)
+	r.finish(state, ex.Report, errMsg, errKind)
+	m.observe(r, ex.QueueWait, suite.ProbeCost())
 }
 
 // retryAfterSeconds derives the Retry-After hint a 429 carries from
@@ -720,7 +636,7 @@ func (m *Manager) retryAfterSeconds() int {
 	mx.mu.Lock()
 	p50 := mx.hist.percentile(0.50)
 	mx.mu.Unlock()
-	secs := int((float64(depth)*p50/float64(cap(m.budget)) + 999) / 1000)
+	secs := int((float64(depth)*p50/float64(m.pool.Size()) + 999) / 1000)
 	if secs < 1 {
 		secs = 1
 	}
@@ -730,15 +646,11 @@ func (m *Manager) retryAfterSeconds() int {
 	return secs
 }
 
-// finishExecution returns one execution's bounded resources and
-// records its outcome, latency, trace, and (when slow) a slow-run log
-// line.
-func (m *Manager) finishExecution(r *run) {
-	m.releaseAdmission(r)
+// observe records one finished execution's outcome, latency, trace,
+// and (when slow) a slow-run log line.
+func (m *Manager) observe(r *run, queueWait time.Duration, probe host.Counters) {
 	r.mu.Lock()
 	state := r.state
-	queueWait := r.queueWait
-	probe := r.probeCost
 	r.mu.Unlock()
 	wall := time.Since(r.admitted)
 	m.metrics.observeExecution(state, wall)
@@ -780,13 +692,6 @@ type SlowRunEvent struct {
 	Probe   host.Counters `json:"probe"`
 }
 
-// setErrKind records a machine-actionable failure classification.
-func (r *run) setErrKind(kind string) {
-	r.mu.Lock()
-	r.errKind = kind
-	r.mu.Unlock()
-}
-
 // onResult is the suite's per-experiment completion callback: marshal
 // the result once, store it under its report index, and wake streams.
 // It runs on suite worker goroutines, concurrently.
@@ -808,7 +713,7 @@ func (r *run) onResult(index, total int, res *expt.ExptResult) {
 
 // finish moves the run to a terminal state. A run already canceled by
 // DELETE stays canceled (its late report, if any, is dropped).
-func (r *run) finish(state string, report []byte, errMsg string) {
+func (r *run) finish(state string, report []byte, errMsg, errKind string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state == StateCanceled {
@@ -818,9 +723,28 @@ func (r *run) finish(state string, report []byte, errMsg string) {
 	r.state = state
 	r.report = report
 	r.errMsg = errMsg
+	r.errKind = errKind
 	r.root.SetAttr("state", state)
 	r.root.End()
 	r.bump()
+}
+
+// replay fills the run's empty stream slots from a report that did not
+// stream through this process. The federator accepted the report
+// through expt.SplitReport, so rebuilding its lines cannot fail.
+func (r *run) replay(report []byte) {
+	lines, _ := replayLines(report, r.spec.Names)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.state != StateRunning {
+		return
+	}
+	for i, line := range lines {
+		if r.lines[i] == nil {
+			r.lines[i] = line
+			r.completed++
+		}
+	}
 }
 
 // snapshotLines copies the per-experiment payload slice for the cache

@@ -20,7 +20,7 @@ import (
 // once per finished execution, never on a per-request hot path).
 type metrics struct {
 	admitted  atomic.Int64 // runs registered, all admission paths
-	executed  atomic.Int64 // runs that launched a suite execution
+	executed  atomic.Int64 // runs whose suite executed on the local pool
 	coalesced atomic.Int64 // runs that joined an in-flight execution
 	lruHits   atomic.Int64 // admissions answered by the in-memory LRU
 	storeHits atomic.Int64 // admissions answered by the persistent store
@@ -31,9 +31,6 @@ type metrics struct {
 	done     atomic.Int64 // executions that finished clean
 	failed   atomic.Int64 // executions that finished with errors
 	canceled atomic.Int64 // executions canceled before finishing
-
-	waiting atomic.Int64 // executions queued for worker tokens right now
-	running atomic.Int64 // executions holding worker tokens right now
 
 	activations atomic.Int64 // metered ACT total across finished executions
 
@@ -235,9 +232,9 @@ func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	out.Queue.Capacity = m.maxQueue
 	m.mu.Unlock()
-	out.Queue.Depth = mx.waiting.Load()
-	out.Queue.InFlight = mx.running.Load()
-	out.Queue.Workers = cap(m.budget)
+	out.Queue.Depth = m.pool.Waiting()
+	out.Queue.InFlight = m.pool.Holding()
+	out.Queue.Workers = m.pool.Size()
 
 	out.Runs = MetricsRuns{
 		Admitted:      mx.admitted.Load(),

@@ -124,15 +124,18 @@ func New(cfg Config) *Server {
 	mgr.traceW = cfg.TraceWriter
 	mgr.slowThreshold = cfg.SlowThreshold
 	mgr.slowLog = cfg.SlowLog
+	local := &expt.Local{Pool: mgr.pool, Store: cfg.Store}
+	mgr.exec = local
 	if len(cfg.Workers) > 0 {
 		mgr.fed = NewFederator(FederationOptions{
 			Workers:       cfg.Workers,
 			MemberTimeout: cfg.MemberTimeout,
-		})
+		}, local)
 		// On shutdown drain, abandon remote runs instead of canceling
 		// them: the workers finish into the shared store, and the
 		// restarted coordinator re-attaches via store hits.
 		mgr.fed.leaveOnCancel = mgr.isDraining
+		mgr.exec = mgr.fed
 	}
 	s := &Server{
 		mgr:     mgr,

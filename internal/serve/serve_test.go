@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,9 +95,24 @@ func blockingFactory(started chan struct{}, release chan struct{}) SuiteFactory 
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(New(cfg))
-	t.Cleanup(ts.Close)
+	srv := New(cfg)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { drain(t, srv, ts) })
 	return ts
+}
+
+// drain shuts a test server down the way cmd/dramscoped exits: the
+// manager first — canceling whatever still runs and waiting for every
+// execution goroutine, so none writes into a temp store the test is
+// about to remove — then the HTTP listener.
+func drain(t *testing.T, srv *Server, ts *httptest.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("drain test server: %v", err)
+	}
+	ts.Close()
 }
 
 func postRun(t *testing.T, ts *httptest.Server, body string) (RunStatus, *http.Response) {

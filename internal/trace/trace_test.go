@@ -210,15 +210,3 @@ func TestHeaderCodec(t *testing.T) {
 		t.Fatal("two-field header parsed")
 	}
 }
-
-func TestContext(t *testing.T) {
-	if s := FromContext(nil); s != nil {
-		t.Fatalf("FromContext(nil) = %v", s)
-	}
-	r := New("t")
-	root := r.Root("run", "run")
-	ctx := NewContext(t.Context(), root)
-	if got := FromContext(ctx); got != root {
-		t.Fatalf("FromContext = %v, want %v", got, root)
-	}
-}
