@@ -4,11 +4,12 @@ import (
 	"math"
 	"math/bits"
 
+	"dramscope/internal/faults"
 	"dramscope/internal/sim"
 )
 
-// This file holds the bank's memory arena and the per-wordline
-// flip-threshold caches.
+// This file holds the bank's memory arena, the per-wordline
+// flip-threshold caches, and the retention scan that reads them.
 //
 // # Arena
 //
@@ -20,20 +21,30 @@ import (
 // recycles records by clearing the used slab prefix (a handful of
 // memclears) and handing slots out again in order. Besides making
 // Reset cheap, the slab keeps the charge words of consecutively
-// touched rows contiguous, which is what the retention-scan, RowCopy,
-// and RD/WR gather/scatter kernels walk.
+// touched rows contiguous, which is what the fault, RowCopy, and RD/WR
+// field kernels (burst.go) walk.
 //
 // # Flip-threshold tables
 //
-// Every per-cell quantity the fault model draws — the hammer and press
-// uniforms, the retention deadline — is a pure function of
-// (seed, bank, wl, x). The tables cache those draws per wordline so a
-// re-materialized row never recomputes them; because clones of an Env
-// share the chip seed, the tables legitimately survive Reset and
-// amortize across every pooled measurement. The cached values are
-// produced by the very same Params calls the scalar path makes
-// (HammerU/PressU/RetentionTime), so decisions taken through them are
-// bit-identical to the uncached path.
+// Every per-cell quantity the fault model draws — the hammer, press and
+// retention uniforms — is a pure function of (seed, bank, wl, x). One
+// table type (drawTab, built by drawTabFor) caches those draws per
+// wordline and mechanism so a re-materialized row never recomputes
+// them; because clones of an Env share the chip seed, the tables
+// legitimately survive Reset and amortize across every pooled
+// measurement. The cached values are the draws the scalar path makes
+// (a faults.Params.Row stream yields exactly the per-cell U values)
+// and are decided through the same HammerFlipsU/PressFlipsU/
+// RetentionFlipsU, so decisions taken through them are bit-identical
+// to the uncached path.
+//
+// Every mechanism flips a cell when its draw falls below a threshold,
+// which makes the per-word minimum a screen for all three. Hammer and
+// press thresholds come from the accumulated stress; the retention
+// threshold is the elapsed interval inverted onto the draw scale once
+// per scan (faults.RetentionScreen), so a retention scan compares draws
+// and evaluates a retention time only for the rare draw within
+// faults.RetentionMargin of the threshold.
 
 // arenaChunkRows is the rowState capacity of one arena chunk. Chunks
 // are small enough that a sparsely used bank wastes little and large
@@ -47,20 +58,13 @@ const arenaChunkRows = 64
 // admit spurious candidates in practice.
 const flipTabMargin = 1 + 1e-9
 
-// uTab caches a wordline's per-cell hammer/press uniform draws plus
-// per-64-cell-word minima, so materialize can skip whole words whose
-// best draw cannot beat the accumulated stress.
-type uTab struct {
-	hamU, prsU       []float64 // per-cell draws, x-indexed
-	hamMinW, prsMinW []float64 // per-word minima of the above
-}
-
-// retTab caches a wordline's per-cell retention deadlines with
-// per-word minima: a retention scan compares elapsed time against the
-// word minimum and only walks cells in words that can decay at all.
-type retTab struct {
-	deadline []sim.Time
-	minW     []sim.Time
+// drawTab caches one mechanism's per-cell uniform draws for a wordline
+// plus their per-64-cell-word minima. Every mechanism flips a cell when
+// its draw falls below a threshold, so a kernel skips whole words whose
+// smallest draw cannot beat it.
+type drawTab struct {
+	u    []float64 // per-cell draws, x-indexed
+	minW []float64 // per-word minima of u
 }
 
 // rowStateFor returns (creating lazily) the state of a wordline
@@ -100,88 +104,74 @@ func (b *bank) resetArena(words int) {
 	b.inUse = 0
 }
 
-// uTabFor returns the wordline's cached uniform draws, building them
-// on first use. Building costs one HammerU+PressU sweep — no more than
-// the scalar pass it replaces spends on draws — and pays for itself on
-// the same materialize via the word-minima skip.
-func (c *Chip) uTabFor(bankID int, b *bank, wl int) *uTab {
-	tb := b.uTabs[wl]
+// drawTabFor returns the wordline's cached draws for a mechanism,
+// building them on first use. Building costs two hash rounds per cell
+// (faults.Params.Row) — less than a scalar pass over the row spends on
+// draws — and pays for itself on the same materialize via the
+// word-minima skip.
+func (c *Chip) drawTabFor(m faults.Mechanism, bankID int, b *bank, wl int) *drawTab {
+	if b.draws[m] == nil {
+		b.draws[m] = make([]*drawTab, len(b.rows))
+	}
+	tb := b.draws[m][wl]
 	if tb != nil {
 		return tb
 	}
-	n := c.prof.RowBits
-	tb = &uTab{
-		hamU:    make([]float64, n),
-		prsU:    make([]float64, n),
-		hamMinW: make([]float64, c.words),
-		prsMinW: make([]float64, c.words),
+	tb = &drawTab{
+		u:    make([]float64, c.prof.RowBits),
+		minW: make([]float64, c.words),
 	}
-	for w := 0; w < c.words; w++ {
-		hmin, pmin := math.Inf(1), math.Inf(1)
-		base := w << 6
-		for i := 0; i < 64; i++ {
-			x := base + i
-			hu := c.fp.HammerU(bankID, wl, x)
-			pu := c.fp.PressU(bankID, wl, x)
-			tb.hamU[x], tb.prsU[x] = hu, pu
-			if hu < hmin {
-				hmin = hu
-			}
-			if pu < pmin {
-				pmin = pu
+	row := c.fp.Row(m, bankID, wl)
+	for w := range tb.minW {
+		min := math.Inf(1)
+		for x := w << 6; x < (w+1)<<6; x++ {
+			u := row.Uniform(uint64(x))
+			tb.u[x] = u
+			if u < min {
+				min = u
 			}
 		}
-		tb.hamMinW[w], tb.prsMinW[w] = hmin, pmin
+		tb.minW[w] = min
 	}
-	b.uTabs[wl] = tb
+	b.draws[m][wl] = tb
 	return tb
 }
 
-// retTabFor returns the wordline's cached retention deadlines, or nil
-// while the wordline is still cold. Deadlines are log-uniform draws —
-// by far the most expensive per-cell quantity — so the table is built
-// eagerly only when it pays for itself: on the first scan of a row
-// with mostly charged cells (the build costs about what the on-demand
-// scan would), or on the second scan of any row. Sparse once-scanned
-// rows — probe samples, incidental reads — stay on the cheaper
-// on-demand path.
-func (c *Chip) retTabFor(bankID int, b *bank, wl int, dense bool) *retTab {
-	rt := b.retTabs[wl]
-	if rt != nil {
-		return rt
-	}
-	if !dense && b.retSeen[wl] == 0 {
-		b.retSeen[wl] = 1
-		return nil
-	}
-	rt = &retTab{
-		deadline: make([]sim.Time, c.prof.RowBits),
-		minW:     make([]sim.Time, c.words),
-	}
-	for w := 0; w < c.words; w++ {
-		min := sim.Time(math.MaxInt64)
-		base := w << 6
-		for i := 0; i < 64; i++ {
-			x := base + i
-			d := c.fp.RetentionTime(bankID, wl, x)
-			rt.deadline[x] = d
-			if d < min {
-				min = d
-			}
-		}
-		rt.minW[w] = min
-	}
-	b.retTabs[wl] = rt
-	return rt
+// retentionScan is the retention test of one wordline over one
+// unrefreshed interval: the interval's screen applied to the
+// wordline's cached retention draws. The table is fetched at the first
+// charged word, so scanning an empty row builds nothing.
+type retentionScan struct {
+	c          *Chip
+	b          *bank
+	bankID, wl int
+	scr        faults.RetentionScreen
+	tab        *drawTab
 }
 
-// denseCharge reports whether at least half the row's cells hold
-// charge — the break-even point past which building the retention
-// deadline table outright costs no more than one on-demand scan.
-func (c *Chip) denseCharge(rs *rowState) bool {
-	n := 0
-	for _, w := range rs.charge {
-		n += bits.OnesCount64(w)
+func (c *Chip) newRetentionScan(bankID int, b *bank, wl int, elapsed sim.Time) retentionScan {
+	return retentionScan{c: c, b: b, bankID: bankID, wl: wl,
+		scr: faults.NewRetentionScreen(c.retScale, elapsed)}
+}
+
+// word returns the cells of charge word w that decay. Only charged
+// cells can, and a word whose smallest draw lies above the screen's
+// band costs one compare.
+func (r *retentionScan) word(w int, charged uint64) uint64 {
+	if charged == 0 {
+		return 0
 	}
-	return 2*n >= c.prof.RowBits
+	if r.tab == nil {
+		r.tab = r.c.drawTabFor(faults.Retention, r.bankID, r.b, r.wl)
+	}
+	if r.tab.minW[w] > r.scr.Keep {
+		return 0
+	}
+	var flips uint64
+	for m := charged; m != 0; m &= m - 1 {
+		if faults.RetentionFlipsU(&r.scr, r.tab.u[w<<6|bits.TrailingZeros64(m)]) {
+			flips |= m & -m
+		}
+	}
+	return flips
 }

@@ -206,8 +206,8 @@ func TestResetEquivalentToFresh(t *testing.T) {
 		t.Fatalf("reset chip time %v, fresh chip %v", dirty.c.Now(), fresh.c.Now())
 	}
 
-	// Second cycle: by now the chip has cached flip-threshold and
-	// retention-deadline tables for the scenario's wordlines. A Reset
+	// Second cycle: by now the chip has cached hammer and retention
+	// draw tables for the scenario's wordlines. A Reset
 	// keeps those tables (the draws are pure functions of the seed), so
 	// the fully warm replay must still match a fresh chip bit for bit.
 	dirty.c.Reset()

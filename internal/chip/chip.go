@@ -35,10 +35,10 @@ package chip
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"dramscope/internal/faults"
 	"dramscope/internal/geom"
+	"dramscope/internal/rng"
 	"dramscope/internal/sim"
 	"dramscope/internal/swizzle"
 	"dramscope/internal/topo"
@@ -57,16 +57,17 @@ type Chip struct {
 	words int // 64-bit words per wordline
 
 	// Derived constants cached off the fault model: the stress-floor
-	// bounds consulted on every materialize, and the retention floor in
-	// simulated time.
+	// bounds consulted on every materialize, the retention floor in
+	// simulated time, and the log-uniform retention scale (ln(hi/lo)
+	// evaluated once instead of per cell).
 	maxHammerF float64
 	maxPressF  float64
 	retMin     sim.Time
+	retScale   rng.LogScale
 
-	// physTab[half][col*dataWidth+bit] is the physical bitline of a
-	// burst bit: the column swizzle flattened into a lookup table so
-	// the RD/WR kernels do no per-bit arithmetic.
-	physTab [][]int32
+	// burst is the RD/WR data path: the column swizzle compiled into
+	// word-grouped field operations (burst.go).
+	burst *burstMap
 
 	// flipMask is materialize's scratch row of pending flip words:
 	// flips are collected per word and applied only after the whole
@@ -98,13 +99,11 @@ type bank struct {
 	slabChunks  [][]uint64
 	inUse       int
 
-	// Flip-threshold caches, dense-indexed by physical wordline. The
-	// cached draws are pure in (seed, bank, wl), so they survive Reset
-	// (see arena.go). retSeen marks wordlines whose charge one
-	// retention scan already walked — the build trigger for retTabs.
-	uTabs   []*uTab
-	retTabs []*retTab
-	retSeen []uint8
+	// Flip-threshold caches: per mechanism (allocated on the
+	// mechanism's first use), per physical wordline. The cached draws
+	// are pure in (seed, bank, wl), so they survive Reset (see
+	// arena.go).
+	draws [faults.NumMechanisms][]*drawTab
 
 	wlActs int64 // wordlines driven (edge rows count twice): energy proxy
 }
@@ -139,6 +138,8 @@ func New(prof topo.Profile, seed uint64) (*Chip, error) {
 		maxHammerF: fp.MaxHammerFactor(),
 		maxPressF:  fp.MaxPressFactor(),
 		retMin:     sim.Time(fp.RetentionMinSec * float64(sim.Second)),
+		retScale:   fp.RetentionScale(),
+		burst:      newBurstMap(cm),
 	}
 	if prof.RowBits%64 != 0 {
 		return nil, fmt.Errorf("chip: RowBits %d is not word-aligned", prof.RowBits)
@@ -154,20 +155,7 @@ func New(prof topo.Profile, seed uint64) (*Chip, error) {
 			rows:    make([]*rowState, physRows),
 			acts:    make([]int64, physRows),
 			press:   make([]float64, physRows),
-			uTabs:   make([]*uTab, physRows),
-			retTabs: make([]*retTab, physRows),
-			retSeen: make([]uint8, physRows),
 		})
-	}
-	c.physTab = make([][]int32, cm.Halves())
-	for half := range c.physTab {
-		tab := make([]int32, cm.Columns()*cm.DataWidth())
-		for col := 0; col < cm.Columns(); col++ {
-			for bit := 0; bit < cm.DataWidth(); bit++ {
-				tab[col*cm.DataWidth()+bit] = int32(cm.PhysBL(col, bit, half))
-			}
-		}
-		c.physTab[half] = tab
 	}
 	return c, nil
 }
@@ -442,40 +430,16 @@ func (c *Chip) read(bankID, col int, t sim.Time) (uint64, error) {
 		return 0, err
 	}
 	rs := c.rowStateFor(b, b.openWL)
-	anti := c.topo.AntiCells(c.topo.SubarrayOf(b.openWL))
-	return c.readBurst(rs, col, b.openHalf, anti), nil
+	return c.burst.read(rs.charge, col, b.openHalf) ^ c.polarity(b), nil
 }
 
-// readBurst gathers one column's burst from a row's charge words.
-func (c *Chip) readBurst(rs *rowState, col, half int, anti bool) uint64 {
-	width := c.cmap.DataWidth()
-	tab := c.physTab[half][col*width : (col+1)*width]
-	var data uint64
-	for bit, x := range tab {
-		if rs.charge[x>>6]&(1<<uint(x&63)) != 0 {
-			data |= 1 << uint(bit)
-		}
+// polarity returns the mask that converts between data and charge on
+// the open row: all burst bits on anti-cell subarrays, none otherwise.
+func (c *Chip) polarity(b *bank) uint64 {
+	if c.topo.AntiCells(c.topo.SubarrayOf(b.openWL)) {
+		return widthMask(c.cmap.DataWidth())
 	}
-	if anti {
-		data ^= widthMask(width)
-	}
-	return data
-}
-
-// writeBurst scatters one burst into a row's charge words.
-func (c *Chip) writeBurst(rs *rowState, col, half int, anti bool, data uint64) {
-	width := c.cmap.DataWidth()
-	tab := c.physTab[half][col*width : (col+1)*width]
-	if anti {
-		data ^= widthMask(width)
-	}
-	for bit, x := range tab {
-		if data&(1<<uint(bit)) != 0 {
-			rs.charge[x>>6] |= 1 << uint(x&63)
-		} else {
-			rs.charge[x>>6] &^= 1 << uint(x&63)
-		}
-	}
+	return 0
 }
 
 func widthMask(width int) uint64 {
@@ -491,8 +455,7 @@ func (c *Chip) write(bankID, col int, data uint64, t sim.Time) error {
 		return err
 	}
 	rs := c.rowStateFor(b, b.openWL)
-	anti := c.topo.AntiCells(c.topo.SubarrayOf(b.openWL))
-	c.writeBurst(rs, col, b.openHalf, anti, data)
+	c.burst.store(rs.charge, col, b.openHalf, c.burst.image(data^c.polarity(b)))
 	return nil
 }
 
@@ -521,31 +484,35 @@ func (c *Chip) readBatch(b sim.Batch, out []uint64) error {
 		return err
 	}
 	rs := c.rowStateFor(bank, bank.openWL)
-	anti := c.topo.AntiCells(c.topo.SubarrayOf(bank.openWL))
+	inv := c.polarity(bank)
 	col := b.Col
 	for i := 0; i < b.Count; i++ {
-		out[i] = c.readBurst(rs, col, bank.openHalf, anti)
+		out[i] = c.burst.read(rs.charge, col, bank.openHalf) ^ inv
 		col += b.Stride
 	}
 	c.now = b.End()
 	return nil
 }
 
-// writeBatch is the WR kernel.
+// writeBatch is the WR kernel. A burst is permuted into image order
+// only when it differs from the previous one, so a broadcast or solid
+// fill permutes once per batch.
 func (c *Chip) writeBatch(b sim.Batch) error {
 	bank := c.banks[b.Bank]
 	if err := c.checkBatchColumns(bank, b); err != nil {
 		return err
 	}
 	rs := c.rowStateFor(bank, bank.openWL)
-	anti := c.topo.AntiCells(c.topo.SubarrayOf(bank.openWL))
+	inv := c.polarity(bank)
+	data := b.Data[0]
+	img := c.burst.image(data ^ inv)
 	col := b.Col
 	for i := 0; i < b.Count; i++ {
-		data := b.Data[0]
-		if len(b.Data) > 1 {
+		if len(b.Data) > 1 && b.Data[i] != data {
 			data = b.Data[i]
+			img = c.burst.image(data ^ inv)
 		}
-		c.writeBurst(rs, col, bank.openHalf, anti, data)
+		c.burst.store(rs.charge, col, bank.openHalf, img)
 		col += b.Stride
 	}
 	c.now = b.End()
@@ -674,10 +641,16 @@ func (c *Chip) materialize(bankID, wl int, t sim.Time) *rowState {
 	pressOn := (dUpPress+dDownPress)*c.maxPressF >= c.fp.PressMinStress
 	hasRet := elapsed > c.retMin
 
-	if hammerOn || pressOn || hasRet {
-		c.applyFaults(bankID, b, rs, wl, t,
+	if hammerOn || pressOn {
+		c.applyFaults(bankID, b, rs, wl,
 			dUpActs, dDownActs, dUpPress, dDownPress, elapsed, upOK, downOK,
-			hammerOn, pressOn)
+			hammerOn, pressOn, hasRet)
+	} else if hasRet {
+		// Retention is the only live mechanism and it only clears
+		// charged cells, so scan the charge words and skip the empty
+		// ones — the common case for rows touched long after their
+		// last restore but never hammered.
+		c.applyRetention(bankID, b, rs, wl, elapsed)
 	}
 
 	if upOK {
@@ -692,18 +665,12 @@ func (c *Chip) materialize(bankID, wl int, t sim.Time) *rowState {
 	return rs
 }
 
-func (c *Chip) applyFaults(bankID int, b *bank, rs *rowState, wl int, t sim.Time,
+// applyFaults is the AIB kernel: retention first, then hammer and press
+// on every candidate cell retention left standing.
+func (c *Chip) applyFaults(bankID int, b *bank, rs *rowState, wl int,
 	dUpActs, dDownActs int64, dUpPress, dDownPress float64,
-	elapsed sim.Time, upOK, downOK bool, hammerOn, pressOn bool) {
+	elapsed sim.Time, upOK, downOK bool, hammerOn, pressOn, hasRet bool) {
 
-	if !hammerOn && !pressOn {
-		// Retention is the only live mechanism and it only clears
-		// charged cells, so scan the charge words and skip the empty
-		// ones — the common case for rows touched long after their
-		// last restore but never hammered.
-		c.applyRetention(bankID, b, rs, wl, elapsed)
-		return
-	}
 	// A mechanism whose accumulated stress is below its floor cannot
 	// flip any cell (its per-cell stress is bounded by the floor
 	// check in HammerFlips/PressFlips); zeroing its deltas skips the
@@ -735,51 +702,35 @@ func (c *Chip) applyFaults(bankID int, b *bank, rs *rowState, wl int, t sim.Time
 	// pressOn gates rest on), widened by flipTabMargin to absorb float
 	// rounding, so screening never drops a cell the scalar decision
 	// would flip. Whole words whose minimum draw misses the bound are
-	// skipped without touching their cells.
-	tab := c.uTabFor(bankID, b, wl)
+	// skipped without touching their cells. A mechanism that is off
+	// has no table and no candidates.
+	var ham, prs *drawTab
 	var hCand, pCand float64
 	if hammerOn {
+		ham = c.drawTabFor(faults.Hammer, bankID, b, wl)
 		hCand = c.fp.HammerBaseP * (float64(dUpActs+dDownActs) * c.maxHammerF * flipTabMargin) / c.fp.HammerN0
 	}
 	if pressOn {
+		prs = c.drawTabFor(faults.Press, bankID, b, wl)
 		pCand = c.fp.PressBaseP * ((dUpPress + dDownPress) * c.maxPressF * flipTabMargin) / c.fp.PressS0
 	}
 
-	// Retention runs against the cached deadlines once the wordline has
-	// been scanned before; until then the draws happen on demand,
-	// exactly as the scalar path would.
-	retLive := elapsed > 0
-	var rt *retTab
-	rtReady := false
+	// No retention time lies below the retention floor (expf(u*ln) >= 1
+	// for u >= 0), so an interval that does not exceed it decays nothing
+	// and skips the screen — and the retention table.
+	var ret retentionScan
+	if hasRet {
+		ret = c.newRetentionScan(bankID, b, wl, elapsed)
+	}
 
 	fm := c.flipMask
 	any := false
 	for w := 0; w < c.words; w++ {
 		var flips uint64
-		cw := rs.charge[w]
-		if retLive && cw != 0 {
-			if !rtReady {
-				rtReady = true
-				rt = c.retTabFor(bankID, b, wl, c.denseCharge(rs))
-			}
-			if rt != nil {
-				if elapsed > rt.minW[w] {
-					for m := cw; m != 0; m &= m - 1 {
-						if elapsed > rt.deadline[w<<6|bits.TrailingZeros64(m)] {
-							flips |= m & -m
-						}
-					}
-				}
-			} else {
-				for m := cw; m != 0; m &= m - 1 {
-					x := w<<6 | bits.TrailingZeros64(m)
-					if c.fp.RetentionFlips(bankID, wl, x, true, elapsed) {
-						flips |= m & -m
-					}
-				}
-			}
+		if hasRet {
+			flips = ret.word(w, rs.charge[w])
 		}
-		if (hammerOn && tab.hamMinW[w] < hCand) || (pressOn && tab.prsMinW[w] < pCand) {
+		if (ham != nil && ham.minW[w] < hCand) || (prs != nil && prs.minW[w] < pCand) {
 			base := w << 6
 			for i := 0; i < 64; i++ {
 				bit := uint64(1) << uint(i)
@@ -787,15 +738,22 @@ func (c *Chip) applyFaults(bankID int, b *bank, rs *rowState, wl int, t sim.Time
 					continue // retention already flipped it
 				}
 				x := base + i
-				if !(tab.hamU[x] < hCand || tab.prsU[x] < pCand) {
+				hu, pu := 1.0, 1.0 // an off mechanism's bound is 0
+				if ham != nil {
+					hu = ham.u[x]
+				}
+				if prs != nil {
+					pu = prs.u[x]
+				}
+				if !(hu < hCand || pu < pCand) {
 					continue
 				}
 				hs, ps := c.cellStress(rs, wl, x,
 					dUpActs, dDownActs, dUpPress, dDownPress,
 					upCharge, downCharge, edge)
-				if hs > 0 && c.fp.HammerFlipsU(tab.hamU[x], hs) {
+				if hs > 0 && c.fp.HammerFlipsU(hu, hs) {
 					flips |= bit
-				} else if ps > 0 && c.fp.PressFlipsU(tab.prsU[x], ps) {
+				} else if ps > 0 && c.fp.PressFlipsU(pu, ps) {
 					flips |= bit
 				}
 			}
@@ -875,40 +833,15 @@ func neighborTri(charges []uint64, x int) faults.Tri {
 }
 
 // applyRetention clears the charged cells whose retention time the
-// elapsed interval exceeds. Word-packed twice over: zero charge words
-// — the vast majority on sparsely written rows — cost one compare, and
-// once the wordline's deadline table exists, words whose earliest
-// deadline lies beyond the elapsed interval cost one more.
+// elapsed interval exceeds. Zero charge words — the vast majority on
+// sparsely written rows — cost one compare; the rest go through the
+// retention screen.
 func (c *Chip) applyRetention(bankID int, b *bank, rs *rowState, wl int, elapsed sim.Time) {
-	var rt *retTab
-	rtReady := false
+	ret := c.newRetentionScan(bankID, b, wl, elapsed)
 	for w, word := range rs.charge {
-		if word == 0 {
-			continue
+		if word != 0 {
+			rs.charge[w] = word &^ ret.word(w, word)
 		}
-		if !rtReady {
-			rtReady = true
-			rt = c.retTabFor(bankID, b, wl, c.denseCharge(rs))
-		}
-		var cleared uint64
-		if rt != nil {
-			if elapsed <= rt.minW[w] {
-				continue
-			}
-			for m := word; m != 0; m &= m - 1 {
-				if elapsed > rt.deadline[w<<6|bits.TrailingZeros64(m)] {
-					cleared |= m & -m
-				}
-			}
-		} else {
-			for m := word; m != 0; m &= m - 1 {
-				x := w<<6 | bits.TrailingZeros64(m)
-				if c.fp.RetentionFlips(bankID, wl, x, true, elapsed) {
-					cleared |= m & -m
-				}
-			}
-		}
-		rs.charge[w] = word &^ cleared
 	}
 }
 
@@ -933,12 +866,4 @@ func (c *Chip) TouchedRows(bankID int) int { return len(c.banks[bankID].touched)
 
 func getBit(words []uint64, x int) bool {
 	return words[x>>6]&(1<<uint(x&63)) != 0
-}
-
-func setBit(words []uint64, x int, v bool) {
-	if v {
-		words[x>>6] |= 1 << uint(x&63)
-	} else {
-		words[x>>6] &^= 1 << uint(x&63)
-	}
 }

@@ -1,8 +1,10 @@
 package chip
 
 import (
+	"math/bits"
 	"testing"
 
+	"dramscope/internal/faults"
 	"dramscope/internal/sim"
 	"dramscope/internal/topo"
 )
@@ -107,6 +109,42 @@ func runFaultTrial(t testing.TB, c *Chip, wl int, pre, up, down []uint64,
 	}
 }
 
+// bandElapsed returns an interval within a picosecond of the retention
+// time of the k-th charged cell of a row (d in {-1, 0, 1}), so the
+// cell's draw lands inside the retention screen's exact band — random
+// intervals essentially never do. ok is false for an empty row. It
+// fails the test if the cell misses the band, so a trial built on it
+// provably exercises the exact path.
+func bandElapsed(t testing.TB, c *Chip, wl int, row []uint64, k uint64, d sim.Time) (elapsed sim.Time, ok bool) {
+	n := 0
+	for _, w := range row {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return 0, false
+	}
+	k %= uint64(n)
+	x := -1
+	for w, word := range row {
+		if c := uint64(bits.OnesCount64(word)); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			word &= word - 1
+		}
+		x = w<<6 | bits.TrailingZeros64(word)
+		break
+	}
+	elapsed = c.fp.RetentionTime(0, wl, x) + d
+	scr := faults.NewRetentionScreen(c.retScale, elapsed)
+	if u := c.fp.RetentionU(0, wl, x); elapsed > c.retMin && !(scr.Flip <= u && u <= scr.Keep) {
+		t.Fatalf("wl %d cell %d: draw %v outside the band [%v, %v] at elapsed %v",
+			wl, x, u, scr.Flip, scr.Keep, elapsed)
+	}
+	return elapsed, true
+}
+
 // xorshift is a tiny deterministic generator for trial patterns.
 type xorshift uint64
 
@@ -170,16 +208,40 @@ func TestWordPackedFaultsMatchScalarReference(t *testing.T) {
 				pressChoices[s.next()%uint64(len(pressChoices))],
 				elapsedChoices[s.next()%uint64(len(elapsedChoices))])
 		}
+		// Threshold trials: elapsed within a picosecond of a charged
+		// cell's retention time, the only intervals that reach the
+		// screen's exact path.
+		for trial := 0; trial < 30; trial++ {
+			wl := wls[s.next()%uint64(len(wls))]
+			pre := trialRow(&s, c.words)
+			elapsed, ok := bandElapsed(t, c, wl, pre, s.next(), sim.Time(s.next()%3)-1)
+			if !ok {
+				continue
+			}
+			runFaultTrial(t, c, wl,
+				pre, trialRow(&s, c.words), trialRow(&s, c.words),
+				actChoices[s.next()%uint64(len(actChoices))],
+				actChoices[s.next()%uint64(len(actChoices))],
+				pressChoices[s.next()%uint64(len(pressChoices))],
+				pressChoices[s.next()%uint64(len(pressChoices))],
+				elapsed)
+		}
 	}
 }
 
 // FuzzWordPackedFaults lets the fuzzer search for charge patterns and
 // stress combinations where the screened kernel and the scalar
-// reference disagree.
+// reference disagree. With the top bit of elapsedMs set, the trial is
+// a threshold trial instead: elapsed sits within a picosecond (bits
+// 0-1: -1, 0, +1) of the retention time of a charged victim cell (bits
+// 2 and up pick which), inside the retention screen's exact band.
 func FuzzWordPackedFaults(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint64(0xffffffffffffffff), uint64(0), uint64(0), uint32(300_000), uint32(0), uint64(0))
 	f.Add(uint64(2), uint16(2), uint64(0x8421084210842108), uint64(0xf), uint64(0xf0), uint32(20_000), uint32(200_000), uint64(30_000))
 	f.Add(uint64(3), uint16(100), uint64(1), uint64(1), uint64(1), uint32(0), uint32(0), uint64(5_000_000))
+	f.Add(uint64(4), uint16(7), uint64(0xffffffffffffffff), uint64(0), uint64(0), uint32(0), uint32(0), uint64(1<<63|5<<2|1))
+	f.Add(uint64(5), uint16(41), uint64(0x0123456789abcdef), uint64(0xf0f0), uint64(0x0f0f), uint32(300_000), uint32(150_000), uint64(1<<63|77<<2|2))
+	f.Add(uint64(6), uint16(99), uint64(0x8000000000000001), uint64(0), uint64(0), uint32(0), uint32(0), uint64(1<<63|3<<2))
 	f.Fuzz(func(t *testing.T, seed uint64, wlRaw uint16, patA, patB, patC uint64, acts uint32, pressUs uint32, elapsedMs uint64) {
 		c := MustNew(topo.Small(), seed%8)
 		wl := 1 + int(wlRaw)%(c.topo.PhysRows()-2)
@@ -190,9 +252,17 @@ func FuzzWordPackedFaults(f *testing.F) {
 			}
 			return row
 		}
-		runFaultTrial(t, c, wl, fill(patA), fill(patB), fill(patC),
+		pre := fill(patA)
+		elapsed := sim.Time(elapsedMs) * sim.Millisecond
+		if elapsedMs>>63 != 0 {
+			var ok bool
+			if elapsed, ok = bandElapsed(t, c, wl, pre, (elapsedMs&^(1<<63))>>2, sim.Time((elapsedMs&3)%3)-1); !ok {
+				return
+			}
+		}
+		runFaultTrial(t, c, wl, pre, fill(patB), fill(patC),
 			int64(acts), int64(acts)/2,
 			float64(pressUs)*1e6, float64(pressUs)*5e5,
-			sim.Time(elapsedMs)*sim.Millisecond)
+			elapsed)
 	})
 }

@@ -119,8 +119,8 @@ func TestWarmHammerCycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// A warmed retention scan must not allocate either: the deadline table
-// is built on the first dense scan and consulted thereafter.
+// A warmed retention scan must not allocate either: the retention draw
+// table is built on the first scan and consulted thereafter.
 func TestWarmRetentionScanZeroAlloc(t *testing.T) {
 	r := newRig(12)
 	victim, _ := perfRows(r)
@@ -164,4 +164,51 @@ func BenchmarkRetentionScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.retentionCycle(victim, wait, data)
 	}
+}
+
+// rowBatch runs one whole-row RD or WR batch on an open row.
+func (r *rig) rowBatch(op sim.Op, bank int, data, out []uint64) {
+	tm := r.c.Timing()
+	b := sim.Batch{Op: op, At: r.at + tm.TRCD, Gap: tm.TRCD,
+		Bank: bank, Stride: 1, Count: r.c.Columns(), Data: data}
+	if err := r.c.ExecBatch(b, out); err != nil {
+		panic(err)
+	}
+	r.at = r.c.Now()
+}
+
+// BenchmarkReadRow times the RD kernel: ACT, one whole-row RD batch,
+// PRE. ns/burst is the gather cost per column.
+func BenchmarkReadRow(b *testing.B) {
+	r := newRig(13)
+	victim, _ := perfRows(r)
+	r.writeRow(0, victim, 0x5a5a5a5a)
+	out := make([]uint64, r.c.Columns())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.act(0, victim)
+		r.rowBatch(sim.RD, 0, nil, out)
+		r.pre(0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.c.Columns()), "ns/burst")
+}
+
+// BenchmarkWriteRow times the WR kernel with a distinct burst per
+// column: ACT, one whole-row WR batch, PRE.
+func BenchmarkWriteRow(b *testing.B) {
+	r := newRig(13)
+	victim, _ := perfRows(r)
+	data := make([]uint64, r.c.Columns())
+	for i := range data {
+		data[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.act(0, victim)
+		r.rowBatch(sim.WR, 0, data, nil)
+		r.pre(0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.c.Columns()), "ns/burst")
 }

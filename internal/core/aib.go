@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dramscope/internal/host"
 	"dramscope/internal/sim"
@@ -111,15 +112,21 @@ func (a *AIB) Measure(cfg Run) (*Result, error) {
 	}
 
 	got := make([]uint64, h.Columns()) // readback buffer reused across victims
+	width := h.DataWidth()
 	// PhysClass is a search over the recovered swizzle, not a lookup;
 	// resolve every burst bit once instead of once per observed cell.
 	var physClass []int
 	if a.Map != nil {
-		physClass = make([]int, h.DataWidth())
+		physClass = make([]int, width)
 		for b := range physClass {
 			physClass[b] = a.Map.PhysClass(b)
 		}
 	}
+	// Per-bit error and trial counts, summed over every victim and
+	// handed to the profiles once at the end. Columns without a target
+	// mask count one trial on every bit (fullCols).
+	var errs, trials [64]int64
+	var fullCols int64
 	aggrPhys := make([]int, 0, 2)
 	aggrs := make([]int, 0, 2)
 	for _, p := range cfg.VictimPhys {
@@ -163,30 +170,31 @@ func (a *AIB) Measure(cfg Run) (*Result, error) {
 		}
 		for col, v := range got {
 			want := cfg.VictimData(col)
-			mask := ^uint64(0)
+			mask := allOnes(h)
 			if cfg.TargetMask != nil {
-				mask = cfg.TargetMask(col)
+				mask &= cfg.TargetMask(col)
+				for m := mask; m != 0; m &= m - 1 {
+					trials[bits.TrailingZeros64(m)]++
+				}
+			} else {
+				fullCols++
 			}
 			diff := (v ^ want) & mask
-			for b := 0; b < h.DataWidth(); b++ {
-				bit := uint64(1) << uint(b)
-				if mask&bit == 0 {
-					continue
-				}
-				var e int64
-				if diff&bit != 0 {
-					e = 1
-					if want&bit != 0 {
-						res.Flips10++
-					} else {
-						res.Flips01++
-					}
-				}
-				res.ByBit.Observe(b, e, 1)
-				if res.ByPhysClass != nil {
-					res.ByPhysClass.Observe(physClass[b], e, 1)
-				}
+			res.Flips10 += int64(bits.OnesCount64(diff & want))
+			res.Flips01 += int64(bits.OnesCount64(diff &^ want))
+			for m := diff; m != 0; m &= m - 1 {
+				errs[bits.TrailingZeros64(m)]++
 			}
+		}
+	}
+	for b := 0; b < width; b++ {
+		n := trials[b] + fullCols
+		if n == 0 {
+			continue // never targeted: the bit stays out of the profiles
+		}
+		res.ByBit.Observe(b, errs[b], n)
+		if res.ByPhysClass != nil {
+			res.ByPhysClass.Observe(physClass[b], errs[b], n)
 		}
 	}
 	res.Total = res.ByBit.Total()

@@ -61,12 +61,3 @@ func Discover(h *host.Host, bank int) (*Mapping, error) {
 func allOnes(h *host.Host) uint64 {
 	return uint64(1)<<uint(h.DataWidth()) - 1
 }
-
-// popcount64 counts set bits.
-func popcount64(v uint64) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"dramscope/internal/host"
 )
 
@@ -98,7 +100,7 @@ func ProbeCoupledRows(h *host.Host, bank int, order *RowOrder) (*CoupledResult, 
 				return 0, err
 			}
 			for _, w := range got {
-				total += popcount64(w ^ ones)
+				total += bits.OnesCount64(w ^ ones)
 			}
 		}
 		return total, nil

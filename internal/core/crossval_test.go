@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -58,7 +59,7 @@ func TestCrossValidateBoundariesWithAIB(t *testing.T) {
 		}
 		n := 0
 		for _, v := range got {
-			n += popcount64(v ^ ones)
+			n += bits.OnesCount64(v ^ ones)
 		}
 		return n
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"dramscope/internal/module"
@@ -108,7 +109,7 @@ func AnalyzeRCDPitfall(m *module.Module, bank int) (*RCDPitfallReport, error) {
 				return nil, err
 			}
 			for chipIdx, v := range bursts {
-				flipsPerChip[chipIdx] += popcount64(v ^ ones)
+				flipsPerChip[chipIdx] += bits.OnesCount64(v ^ ones)
 			}
 		}
 		if _, err := exec(sim.PRE, 0, 0, 0, tm.TRAS); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dramscope/internal/host"
 	"dramscope/internal/sim"
@@ -47,7 +48,7 @@ func ProbeCellPolarity(h *host.Host, bank int, sub *SubarrayLayout) (*CellPolari
 		}
 		n := 0
 		for _, v := range got {
-			n += popcount64(v ^ wrote)
+			n += bits.OnesCount64(v ^ wrote)
 		}
 		return n, nil
 	}

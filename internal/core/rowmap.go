@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dramscope/internal/host"
 )
@@ -88,7 +89,7 @@ func ProbeRowOrder(h *host.Host, bank int) (*RowOrder, error) {
 			}
 			flips := 0
 			for _, v := range got {
-				flips += popcount64(v ^ ones)
+				flips += bits.OnesCount64(v ^ ones)
 			}
 			if flips > 0 {
 				adj[aggr] = append(adj[aggr], r)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dramscope/internal/host"
 )
@@ -116,7 +117,7 @@ func (cc *copyClassifier) classify(src, dst int) (copyClass, int, error) {
 	}
 	changed := 0
 	for _, v := range cc.got {
-		changed += popcount64(v)
+		changed += bits.OnesCount64(v)
 	}
 	total := len(cols) * h.DataWidth()
 	if cls := coverage(changed, total); cls != copyNothing {
@@ -138,7 +139,7 @@ func (cc *copyClassifier) classify(src, dst int) (copyClass, int, error) {
 	}
 	changed = 0
 	for _, v := range cc.got {
-		changed += popcount64(v ^ ones)
+		changed += bits.OnesCount64(v ^ ones)
 	}
 	return coverage(changed, total), 1, nil
 }

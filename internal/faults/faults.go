@@ -294,23 +294,39 @@ func (p *Params) edgeDamp(aggrCenter Tri) float64 {
 	}
 }
 
-// Per-mechanism tags for the deterministic per-cell draws.
+// Mechanism names one of the fault model's per-cell draw streams.
+type Mechanism uint8
+
+// The mechanisms with a per-cell uniform draw.
 const (
-	tagHammer = iota + 1
-	tagPress
-	tagRetention
+	Hammer Mechanism = iota
+	Press
+	Retention
+	NumMechanisms
 )
+
+// tag is the mechanism's word in the draw hash.
+func (m Mechanism) tag() uint64 { return uint64(m) + 1 }
+
+// U returns the cell's deterministic uniform draw for a mechanism.
+func (p *Params) U(m Mechanism, bank, wl, x int) float64 {
+	return rng.Uniform(p.Seed, m.tag(), uint64(bank), uint64(wl), uint64(x))
+}
+
+// Row returns a mechanism's draw stream along wordline wl of a bank:
+// Row(m, bank, wl).Uniform(uint64(x)) == U(m, bank, wl, x). The
+// coordinates the row shares are hashed once, so a cell costs two
+// mixing rounds.
+func (p *Params) Row(m Mechanism, bank, wl int) rng.Prefix {
+	return rng.NewPrefix(p.Seed, m.tag(), uint64(bank), uint64(wl))
+}
 
 // HammerU returns the cell's deterministic uniform draw for the
 // RowHammer mechanism.
-func (p *Params) HammerU(bank, wl, x int) float64 {
-	return rng.Uniform(p.Seed, tagHammer, uint64(bank), uint64(wl), uint64(x))
-}
+func (p *Params) HammerU(bank, wl, x int) float64 { return p.U(Hammer, bank, wl, x) }
 
 // PressU returns the cell's deterministic uniform draw for RowPress.
-func (p *Params) PressU(bank, wl, x int) float64 {
-	return rng.Uniform(p.Seed, tagPress, uint64(bank), uint64(wl), uint64(x))
-}
+func (p *Params) PressU(bank, wl, x int) float64 { return p.U(Press, bank, wl, x) }
 
 // HammerFlips reports whether the accumulated hammer stress flips the
 // cell. Stress is the factor-weighted activation count summed over
@@ -380,10 +396,12 @@ func (p *Params) MaxPressFactor() float64 {
 }
 
 // RetentionTime returns the cell's retention time: how long a charged
-// cell holds its charge without refresh.
+// cell holds its charge without refresh. It is the scalar definition;
+// kernels that decide many cells draw RetentionU once per cell and
+// decide through a RetentionScreen instead.
 func (p *Params) RetentionTime(bank, wl, x int) sim.Time {
 	sec := rng.LogUniform(p.RetentionMinSec, p.RetentionMaxSec,
-		p.Seed, tagRetention, uint64(bank), uint64(wl), uint64(x))
+		p.Seed, Retention.tag(), uint64(bank), uint64(wl), uint64(x))
 	return sim.Time(sec * float64(sim.Second))
 }
 
@@ -394,4 +412,93 @@ func (p *Params) RetentionFlips(bank, wl, x int, charged bool, elapsed sim.Time)
 		return false
 	}
 	return elapsed > p.RetentionTime(bank, wl, x)
+}
+
+// RetentionU returns the cell's deterministic uniform draw for
+// retention: RetentionTime is RetentionTimeU(p.RetentionScale(), u).
+func (p *Params) RetentionU(bank, wl, x int) float64 { return p.U(Retention, bank, wl, x) }
+
+// RetentionScale returns the log-uniform retention-time distribution
+// in seconds. It evaluates ln(max/min) once; hoist it out of per-cell
+// loops.
+func (p *Params) RetentionScale() rng.LogScale {
+	return rng.NewLogScale(p.RetentionMinSec, p.RetentionMaxSec)
+}
+
+// RetentionTimeU maps a retention draw onto the cell's retention time.
+// It evaluates the float expression RetentionTime does, bit for bit.
+func RetentionTimeU(s rng.LogScale, u float64) sim.Time {
+	return sim.Time(s.At(u) * float64(sim.Second))
+}
+
+// RetentionMargin is the half-width, in natural-log units of time, of
+// the band around the inverted retention threshold inside which
+// RetentionFlipsU falls back to the exact comparison.
+//
+// The exact test is elapsed > T(u) with T(u) = trunc(fl(fl(lo ·
+// expf(fl(u·ln))) · 1e12)); the screen inverts the real-valued
+// lo·1e12·e^(u·ln) with math.Log. The margin must cover everything
+// that separates the two, in log space:
+//
+//   - expf's relative error: at most 1e-12 for exponents u·ln with u in
+//     [0, 1] and ln = lnf(1e7) (rng's
+//     TestLnfExpfRelativeErrorOverRetentionDomain; measured 1.3e-15);
+//   - rounding u·ln (|u·ln| <= 16.2, so at most 1.8e-15) and the two
+//     products (2.2e-16);
+//   - the screen's own math.Log, conversions and divisions (about
+//     1e-15, scaled by ln into draw space and back);
+//   - nothing for the truncation to integer picoseconds: for an
+//     integer e and real T >= 0, e > trunc(T) exactly when e > T.
+//
+// That sums to at most 1.01e-12; 1e-9 leaves about 1000x headroom. In
+// draw space the band is 2·RetentionMargin/ln wide (1.2e-10 for the
+// default bounds), so about one cell in 8e9 takes the exact path.
+const RetentionMargin = 1e-9
+
+// RetentionScreen is the retention test of one unrefreshed interval
+// inverted onto the cells' uniform draws. T(u) is increasing in u, so
+// the interval elapsed decays exactly the cells whose draw lies below
+// the threshold u* = ln(elapsed/min)/ln(max/min). The screen brackets
+// u* by RetentionMargin: a draw below Flip always decays, a draw above
+// Keep never does, and only a draw inside [Flip, Keep] needs its
+// retention time evaluated.
+type RetentionScreen struct {
+	Flip, Keep float64
+	elapsed    sim.Time
+	scale      rng.LogScale
+}
+
+// NewRetentionScreen builds the screen of one interval. Build it once
+// per scan, not per cell.
+func NewRetentionScreen(s rng.LogScale, elapsed sim.Time) RetentionScreen {
+	r := RetentionScreen{Flip: math.Inf(-1), Keep: math.Inf(-1), elapsed: elapsed, scale: s}
+	if elapsed <= 0 {
+		return r // nothing decays
+	}
+	// With min == max, ln is 0 and the bounds are infinite or NaN; a NaN
+	// bound fails every comparison, which sends draws to the exact path.
+	l := math.Log(float64(elapsed) / (s.Lo() * float64(sim.Second)))
+	r.Flip = (l - RetentionMargin) / s.Ln()
+	r.Keep = (l + RetentionMargin) / s.Ln()
+	return r
+}
+
+// RetentionFlipsU is RetentionFlips for a charged cell with its
+// uniform draw supplied by the caller (see HammerFlipsU), decided
+// through the interval's screen: a compare for all but the draws
+// inside the band, which take the exact RetentionTimeU comparison.
+// Decisions are bit-identical to RetentionFlips.
+func RetentionFlipsU(s *RetentionScreen, u float64) bool {
+	if u < s.Flip {
+		return true
+	}
+	return u <= s.Keep && s.exact(u)
+}
+
+// exact is the in-band decision. It stays out of line so that the
+// screen's two compares inline into the caller's per-cell loop.
+//
+//go:noinline
+func (s *RetentionScreen) exact(u float64) bool {
+	return s.elapsed > RetentionTimeU(s.scale, u)
 }

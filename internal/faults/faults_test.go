@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dramscope/internal/geom"
+	"dramscope/internal/rng"
 	"dramscope/internal/sim"
 )
 
@@ -361,6 +362,67 @@ func TestRetentionTimeDeterministic(t *testing.T) {
 	}
 	if p.RetentionTime(1, 2, 3) == p.RetentionTime(1, 2, 4) {
 		t.Fatal("neighboring cells should draw different retention times")
+	}
+}
+
+// The retention screen must decide every cell exactly as the scalar
+// RetentionFlips does: far from the threshold by its compares, at the
+// threshold (elapsed within a picosecond of the cell's retention time)
+// by the exact path inside the band.
+func TestRetentionFlipsUMatchesRetentionFlips(t *testing.T) {
+	for _, p := range []Params{params(), func() Params {
+		p := params()
+		p.RetentionMaxSec = p.RetentionMinSec // degenerate: ln(max/min) = 0
+		return p
+	}()} {
+		scale := p.RetentionScale()
+		inBand := 0
+		check := func(x int, elapsed sim.Time) {
+			scr := NewRetentionScreen(scale, elapsed)
+			u := p.RetentionU(3, 7, x)
+			if scr.Flip <= u && u <= scr.Keep {
+				inBand++
+			}
+			if got, want := RetentionFlipsU(&scr, u), p.RetentionFlips(3, 7, x, true, elapsed); got != want {
+				t.Fatalf("min %v max %v cell %d elapsed %v: screen %v, scalar %v",
+					p.RetentionMinSec, p.RetentionMaxSec, x, elapsed, got, want)
+			}
+		}
+		for x := 0; x < 4000; x++ {
+			rt := p.RetentionTime(3, 7, x)
+			if got := RetentionTimeU(scale, p.RetentionU(3, 7, x)); got != rt {
+				t.Fatalf("cell %d: RetentionTimeU %v != RetentionTime %v", x, got, rt)
+			}
+			for _, d := range []sim.Time{-1, 0, 1} {
+				check(x, rt+d)
+			}
+			check(x, sim.Time(x)*37*sim.Millisecond)
+		}
+		check(0, 0)
+		check(0, -sim.Second)
+		if inBand < 3*4000 {
+			t.Fatalf("only %d threshold trials landed in the exact band", inBand)
+		}
+	}
+}
+
+// The draw streams are pinned: the hash words of each mechanism are
+// (seed, 1|2|3, bank, wl, x), and a Row stream yields the per-cell
+// draws. Changing either would move every report byte.
+func TestRowMatchesPerCellDraws(t *testing.T) {
+	p := params()
+	for m := Mechanism(0); m < NumMechanisms; m++ {
+		row := p.Row(m, 2, 77)
+		for x := 0; x < 300; x++ {
+			v := row.Uniform(uint64(x))
+			if want := rng.Uniform(p.Seed, uint64(m)+1, 2, 77, uint64(x)); v != want || p.U(m, 2, 77, x) != want {
+				t.Fatalf("mechanism %d cell %d: Row %v, U %v, hash %v", m, x, v, p.U(m, 2, 77, x), want)
+			}
+		}
+	}
+	if p.HammerU(1, 2, 3) != p.U(Hammer, 1, 2, 3) || p.PressU(1, 2, 3) != p.U(Press, 1, 2, 3) ||
+		p.RetentionU(1, 2, 3) != p.U(Retention, 1, 2, 3) {
+		t.Fatal("per-mechanism draws diverge from U")
 	}
 }
 

@@ -23,11 +23,7 @@ func splitmix64(x uint64) uint64 {
 // well-distributed 64-bit value. Hash is pure: the same inputs always
 // produce the same output.
 func Hash(words ...uint64) uint64 {
-	h := uint64(0x51a2c5fbcd9d9d1d)
-	for _, w := range words {
-		h = splitmix64(h ^ w)
-	}
-	return splitmix64(h)
+	return splitmix64(NewPrefix(words...).h)
 }
 
 // Split derives an independent child seed from a base seed and a
@@ -71,31 +67,70 @@ func SplitN(seed uint64, label string, i int) uint64 {
 // the draw can be used directly as a Pareto-style threshold scale
 // without a divide-by-zero guard.
 func Uniform(words ...uint64) float64 {
-	h := Hash(words...)
-	// 53 bits of mantissa; +1 shifts the range from [0,1) to (0,1].
+	return unit(Hash(words...))
+}
+
+// unit maps a hash onto (0, 1]: 53 bits of mantissa, +1 shifts the
+// range from [0,1) to (0,1].
+func unit(h uint64) float64 {
 	return float64(h>>11+1) / float64(1<<53)
+}
+
+// Prefix is Hash's running state after a fixed leading run of words.
+// Extending it by one last word costs two mixing rounds instead of one
+// per word, which is what filling a table of per-cell draws that share
+// their leading coordinates wants:
+//
+//	NewPrefix(a, b, c).Uniform(x) == Uniform(a, b, c, x)
+type Prefix struct{ h uint64 }
+
+// NewPrefix absorbs the leading words.
+func NewPrefix(words ...uint64) Prefix {
+	h := uint64(0x51a2c5fbcd9d9d1d)
+	for _, w := range words {
+		h = splitmix64(h ^ w)
+	}
+	return Prefix{h}
+}
+
+// Uniform returns Uniform of the prefix words followed by w.
+func (p Prefix) Uniform(w uint64) float64 {
+	return unit(splitmix64(splitmix64(p.h ^ w)))
 }
 
 // LogUniform returns a deterministic draw from a log-uniform
 // distribution over [lo, hi]. It is used for retention times, which
 // span several orders of magnitude across cells in real DRAM.
 func LogUniform(lo, hi float64, words ...uint64) float64 {
+	return NewLogScale(lo, hi).At(Uniform(words...))
+}
+
+// LogScale is a log-uniform distribution over [lo, hi] with ln(hi/lo)
+// evaluated once, so mapping a uniform draw onto it costs one expf.
+// At(u) computes lo*expf(u*lnf(hi/lo)), the float expression
+// LogUniform has always evaluated, so hoisting the scale out of a
+// per-cell loop cannot move a bit.
+type LogScale struct {
+	lo, ln float64
+}
+
+// NewLogScale returns the log-uniform scale over [lo, hi].
+func NewLogScale(lo, hi float64) LogScale {
 	if lo <= 0 || hi < lo {
 		panic("rng: LogUniform requires 0 < lo <= hi")
 	}
-	u := Uniform(words...)
-	// exp(log lo + u*(log hi - log lo)) without importing math:
-	// we keep math out of the hot path by using the identity
-	// lo * (hi/lo)^u, computed via repeated squaring on the exponent.
-	return lo * powf(hi/lo, u)
+	return LogScale{lo: lo, ln: lnf(hi / lo)}
 }
 
-// powf computes base**exp for base > 0 using the standard
-// exp(exp*ln(base)) decomposition. Implemented locally (stdlib math is
-// fine to import, but keeping the dependency explicit and tiny makes
-// the function easy to test in isolation).
-func powf(base, exp float64) float64 {
-	return expf(exp * lnf(base))
+// Lo returns the lower bound of the scale.
+func (s LogScale) Lo() float64 { return s.lo }
+
+// Ln returns ln(hi/lo) as lnf computes it.
+func (s LogScale) Ln() float64 { return s.ln }
+
+// At maps a uniform draw u in [0, 1] onto the scale: lo*(hi/lo)^u.
+func (s LogScale) At(u float64) float64 {
+	return s.lo * expf(u*s.ln)
 }
 
 // lnf is a natural-log approximation accurate to ~1e-12 over the range

@@ -212,6 +212,12 @@ func TestExpfAgainstMath(t *testing.T) {
 	}
 }
 
+// powf is base**exp through the lnf/expf pair, the composition the
+// retention draws are built from.
+func powf(base, exp float64) float64 {
+	return expf(exp * lnf(base))
+}
+
 func TestPowfQuick(t *testing.T) {
 	f := func(b8, e8 uint8) bool {
 		base := 0.5 + float64(b8)/32 // 0.5 .. ~8.5
@@ -219,6 +225,76 @@ func TestPowfQuick(t *testing.T) {
 		got := powf(base, exp)
 		want := math.Pow(base, exp)
 		return math.Abs(got-want) <= 1e-8*(1+want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// LogScale hoists lnf(hi/lo) out of LogUniform; the draw it maps must
+// be the float LogUniform's lo*powf(hi/lo, u) expression gives, bit for
+// bit, or every cached retention decision would move.
+func TestLogScaleBitIdentical(t *testing.T) {
+	for _, b := range [][2]float64{{0.1, 1e6}, {1e-3, 1e9}, {5, 5}, {2, 3}} {
+		s := NewLogScale(b[0], b[1])
+		for i := uint64(0); i < 20000; i++ {
+			u := Uniform(i, 99)
+			if got, want := s.At(u), b[0]*powf(b[1]/b[0], u); got != want {
+				t.Fatalf("scale %v: At(%v) = %v, lo*powf = %v", b, u, got, want)
+			}
+			if got, want := LogUniform(b[0], b[1], i, 99), s.At(u); got != want {
+				t.Fatalf("scale %v: LogUniform = %v, At = %v", b, got, want)
+			}
+		}
+	}
+}
+
+// retentionRelErr bounds the relative error of lnf and expf against
+// math over the retention domain: ln = lnf(1e7) (RetentionMaxSec /
+// RetentionMinSec of faults.Default) and exponents u*ln for u in
+// [0, 1]. The retention screen's band margin (faults.RetentionMargin)
+// is derived from this bound; a series change that loosens it must
+// fail here before it can make the screen unsound.
+const retentionRelErr = 1e-12
+
+func TestLnfExpfRelativeErrorOverRetentionDomain(t *testing.T) {
+	relErr := func(got, want float64) float64 { return math.Abs(got/want - 1) }
+	ln := lnf(1e7)
+	if e := relErr(ln, math.Log(1e7)); e > retentionRelErr {
+		t.Fatalf("lnf(1e7) relative error %g > %g", e, retentionRelErr)
+	}
+	worst := 0.0
+	check := func(u float64) {
+		x := u * ln
+		if e := relErr(expf(x), math.Exp(x)); e > worst {
+			worst = e
+		}
+		// The ratio of every x the domain spans, too: lnf must hold the
+		// bound wherever a scale could be built inside it.
+		if r := math.Exp(x); r > 1 {
+			if e := relErr(lnf(r), math.Log(r)); e > worst {
+				worst = e
+			}
+		}
+	}
+	const grid = 200_000
+	for i := 0; i <= grid; i++ {
+		check(float64(i) / grid)
+	}
+	for i := uint64(0); i < 200_000; i++ {
+		check(Uniform(i, 0x7e7))
+	}
+	if worst > retentionRelErr {
+		t.Fatalf("lnf/expf relative error %g exceeds %g over the retention domain", worst, retentionRelErr)
+	}
+	t.Logf("worst relative error over the retention domain: %.3g", worst)
+}
+
+// A Prefix extended by one word is Uniform of the whole word list.
+func TestPrefixMatchesUniform(t *testing.T) {
+	f := func(a, b, c, x uint64) bool {
+		return NewPrefix(a, b, c).Uniform(x) == Uniform(a, b, c, x) &&
+			NewPrefix().Uniform(x) == Uniform(x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

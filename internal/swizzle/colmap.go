@@ -118,11 +118,22 @@ func (m *ColumnMap) Halves() int {
 	return 1
 }
 
-// bitPosition returns the physical cell offset (0..bitsPerMAT-1)
-// within a column's cell group for burst bit i, plus the serving-MAT
-// ordinal. The quad order [lo, hi, lo+1, hi+1] reproduces the paper's
-// adjacency example.
-func (m *ColumnMap) bitPosition(i int) (ordinal, pos int) {
+// ServingMATs returns how many MATs serve one burst.
+func (m *ColumnMap) ServingMATs() int { return m.nOwned }
+
+// BitsPerMAT returns how many burst bits each serving MAT contributes:
+// the width of one field.
+func (m *ColumnMap) BitsPerMAT() int { return m.bitsPerMAT }
+
+// BitPosition returns the serving-MAT ordinal of burst bit i and the
+// bit's cell offset (0..BitsPerMAT-1) within that MAT's field. It is
+// the same for every column and half:
+//
+//	PhysBL(col, i, half) == FieldBase(col, half, ordinal) + pos
+//
+// The quad order [lo, hi, lo+1, hi+1] reproduces the paper's adjacency
+// example.
+func (m *ColumnMap) BitPosition(i int) (ordinal, pos int) {
 	ordinal = (i / 2) % m.nOwned
 	k := (i / 2) / m.nOwned // pair-group index 0..pairGroups-1
 	parity := i & 1
@@ -140,7 +151,15 @@ func (m *ColumnMap) bitPosition(i int) (ordinal, pos int) {
 	return ordinal, pos
 }
 
-// bitFromPosition inverts bitPosition.
+// FieldBase returns the first physical bitline of the field that the
+// serving MAT with the given ordinal contributes to (col, half): its
+// BitsPerMAT cells are contiguous from there.
+func (m *ColumnMap) FieldBase(col, half, ordinal int) int {
+	mat, intraCol := m.physMAT(col, half, ordinal)
+	return mat*m.matWidth + intraCol*m.bitsPerMAT
+}
+
+// bitFromPosition inverts BitPosition.
 func (m *ColumnMap) bitFromPosition(ordinal, pos int) int {
 	quad := pos / 4
 	slot := pos % 4
@@ -184,9 +203,8 @@ func (m *ColumnMap) PhysBL(col, bit, half int) int {
 	if half < 0 || half >= m.Halves() {
 		panic(fmt.Sprintf("swizzle: half %d out of range [0,%d)", half, m.Halves()))
 	}
-	ordinal, pos := m.bitPosition(bit)
-	mat, intraCol := m.physMAT(col, half, ordinal)
-	return mat*m.matWidth + intraCol*m.bitsPerMAT + pos
+	ordinal, pos := m.BitPosition(bit)
+	return m.FieldBase(col, half, ordinal) + pos
 }
 
 // FromPhysBL inverts PhysBL: it returns the logical coordinate of the

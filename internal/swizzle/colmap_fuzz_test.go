@@ -60,6 +60,10 @@ func FuzzColmap(f *testing.F) {
 					}
 					seen[x] = true
 					count++
+					// The exported field layout composes to PhysBL.
+					if o, pos := m.BitPosition(bit); m.FieldBase(col, half, o)+pos != x {
+						t.Fatalf("FieldBase(%d,%d,%d)+%d != PhysBL = %d", col, half, o, pos, x)
+					}
 					c2, b2, h2 := m.FromPhysBL(x)
 					if c2 != col || b2 != bit || h2 != half {
 						t.Fatalf("round trip (%d,%d,%d) -> %d -> (%d,%d,%d)",
