@@ -24,7 +24,6 @@ import (
 	"dramscope/internal/cli"
 	"dramscope/internal/core"
 	"dramscope/internal/expt"
-	"dramscope/internal/host"
 	"dramscope/internal/stats"
 	"dramscope/internal/topo"
 	"dramscope/internal/trace"
@@ -146,19 +145,11 @@ func run(name string, seed uint64, withSwizzle bool, storeFlags *cli.StoreFlags,
 		pol.Interleaved, headBool(pol.AntiBySubarray, 6))
 
 	if withSwizzle {
-		before := e.Commands()
-		sw := root.Child("swizzle", "data-swizzle probe").Begin()
+		// Warmed to ProbeSwizzle above: the probe's cost is on probe/warm.
 		sm, err := e.Swizzle()
 		if err != nil {
 			return err
 		}
-		after := e.Commands()
-		sw.AddCounters(host.Counters{
-			ACT: after.ACT - before.ACT, PRE: after.PRE - before.PRE,
-			RD: after.RD - before.RD, WR: after.WR - before.WR,
-			REF: after.REF - before.REF,
-		})
-		sw.End()
 		fmt.Printf("\nData swizzle: %d MATs x %d bits per burst, MAT width %d cells, column stride %d\n",
 			sm.MATsPerBurst(), sm.BitsPerMAT, sm.MATWidthBits, sm.ColumnStride)
 		for i, ord := range sm.Orders {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"dramscope/internal/expt"
 	"dramscope/internal/trace"
@@ -20,36 +19,24 @@ import (
 // report via expt.AggregateCampaign — the same pure function the CLI
 // uses, so served aggregate bytes match `experiments -campaign -json`.
 
-// campaign is one admitted campaign's lifecycle state.
+// campaign is one admitted campaign. Its lifecycle carries the id, the
+// state, one stream slot per member (by campaign index), the aggregate
+// report, and the "campaign" root span.
 type campaign struct {
-	id        string
+	lifecycle
+
 	runs      []*run // member runs, campaign order
 	client    string // quota identity of the admitting client
 	quotaCost int64  // campaign-level quota charge, released when it finishes
 
-	// rec and root are the campaign's own span tree: one "campaign"
-	// root with a "member:NNNNNN" child per spec. The trace ID is
-	// derived from the member digests, and each member run's recorder
-	// is linked under its member span — so GET /campaigns/{id}/trace
-	// stitches the campaign records and every member's records into one
-	// tree, local and federated members alike.
+	// rec is the campaign's own span tree: one "campaign" root with a
+	// "member:NNNNNN" child per spec. The trace ID is derived from the
+	// member digests, and each member run's recorder is linked under
+	// its member span — so GET /campaigns/{id}/trace stitches the
+	// campaign records and every member's records into one tree, local
+	// and federated members alike.
 	rec         *trace.Recorder
-	root        *trace.Span
 	memberSpans []*trace.Span
-
-	mu        sync.Mutex
-	changed   chan struct{} // closed and replaced on every state change
-	state     string
-	completed int
-	lines     [][]byte // per-member NDJSON payloads, by campaign index
-	report    []byte   // aggregate report bytes
-	errMsg    string
-}
-
-// bump wakes every waiter. Callers hold c.mu.
-func (c *campaign) bump() {
-	close(c.changed)
-	c.changed = make(chan struct{})
 }
 
 // runInfo snapshots one member run as wire metadata. i is the member's
@@ -153,21 +140,16 @@ func (m *Manager) StartCampaign(req CampaignRequest, client string) (*campaign, 
 	id := fmt.Sprintf("c%06d", m.nextCampaign)
 	m.mu.Unlock()
 
-	c := &campaign{
-		id:        id,
-		client:    client,
-		quotaCost: quotaCost,
-		changed:   make(chan struct{}),
-		state:     StateRunning,
-		lines:     make([][]byte, len(specs)),
-	}
+	c := &campaign{client: client, quotaCost: quotaCost}
+	c.id = id
 	// The campaign trace is named by its member digests — the same
 	// MemberSpans the CLI campaign runner uses, so an identical campaign
 	// has identical span IDs wherever it runs.
 	c.rec = trace.New("")
-	c.root = c.rec.Root("campaign", fmt.Sprintf("campaign of %d members", len(specs))).Begin()
-	c.root.SetAttr("members", len(specs))
-	c.memberSpans = expt.MemberSpans(c.root, specs)
+	root := c.rec.Root("campaign", fmt.Sprintf("campaign of %d members", len(specs))).Begin()
+	root.SetAttr("members", len(specs))
+	c.begin("campaign", root, len(specs))
+	c.memberSpans = expt.MemberSpans(root, specs)
 
 	for i := range specs {
 		ms := c.memberSpans[i].Begin()
@@ -196,7 +178,7 @@ func (m *Manager) StartCampaign(req CampaignRequest, client string) (*campaign, 
 	m.campaigns[id] = c
 	m.campaignOrder = append(m.campaignOrder, id)
 	m.mu.Unlock()
-	m.pruneCampaigns()
+	m.prune()
 
 	m.execWG.Add(1)
 	go m.watchCampaign(c, specs)
@@ -219,18 +201,18 @@ func (m *Manager) watchCampaign(c *campaign, specs []*expt.ResolvedSpec) {
 	var failures []string
 	canceled := false
 	for i, r := range c.runs {
-		state, report, errMsg := waitTerminal(r)
-		c.memberSpans[i].SetAttr("state", state)
+		o := r.settled()
+		c.memberSpans[i].SetAttr("state", o.state)
 		c.memberSpans[i].End()
-		results[i] = expt.CampaignRunResult{Index: i, Spec: specs[i], Report: report}
-		switch state {
+		results[i] = expt.CampaignRunResult{Index: i, Spec: specs[i], Report: o.report}
+		switch o.state {
 		case StateCanceled:
 			canceled = true
-			results[i].Err = fmt.Errorf("%s", errMsg)
+			results[i].Err = fmt.Errorf("%s", o.errMsg)
 		case StateFailed:
-			failures = append(failures, fmt.Sprintf("run %s: %s", r.id, errMsg))
-			if report == nil {
-				results[i].Err = fmt.Errorf("%s", errMsg)
+			failures = append(failures, fmt.Sprintf("run %s: %s", r.id, o.errMsg))
+			if o.report == nil {
+				results[i].Err = fmt.Errorf("%s", o.errMsg)
 			}
 		}
 
@@ -240,42 +222,26 @@ func (m *Manager) watchCampaign(c *campaign, specs []*expt.ResolvedSpec) {
 			line, _ = json.Marshal(CampaignStreamEvent{Index: i, Total: len(c.runs),
 				Error: fmt.Sprintf("marshal run info: %v", err)})
 		}
-		c.mu.Lock()
-		c.lines[i] = line
-		c.completed++
-		c.bump()
-		c.mu.Unlock()
+		c.land(i, line)
 	}
 
-	state := StateDone
-	errMsg := ""
+	o := outcome{state: StateDone}
 	if len(failures) > 0 {
-		state = StateFailed
-		errMsg = strings.Join(failures, "; ")
+		o.state = StateFailed
+		o.errMsg = strings.Join(failures, "; ")
 	}
 	if canceled {
-		state = StateCanceled
-		errMsg = "canceled"
-	}
-	var report []byte
-	if !canceled {
+		o.state = StateCanceled
+		o.errMsg = "canceled"
+	} else {
 		agg, err := expt.AggregateCampaign(results)
 		if err != nil {
-			state, errMsg = StateFailed, err.Error()
-		} else if report, err = agg.JSON(); err != nil {
-			state, report, errMsg = StateFailed, nil, err.Error()
+			o.state, o.errMsg = StateFailed, err.Error()
+		} else if o.report, err = agg.JSON(); err != nil {
+			o.state, o.report, o.errMsg = StateFailed, nil, err.Error()
 		}
 	}
-	c.root.SetAttr("state", state)
-	c.root.End()
-	c.mu.Lock()
-	if c.state == StateRunning {
-		c.state = state
-		c.report = report
-		c.errMsg = errMsg
-	}
-	c.bump()
-	c.mu.Unlock()
+	c.finish(o)
 }
 
 // traceRecords assembles the stitched campaign tree: the campaign's
@@ -289,48 +255,6 @@ func (c *campaign) traceRecords() []trace.Record {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Path < recs[j].Path })
 	return recs
-}
-
-// waitTerminal blocks until a run leaves StateRunning and returns its
-// terminal snapshot.
-func waitTerminal(r *run) (state string, report []byte, errMsg string) {
-	for {
-		r.mu.Lock()
-		state, report, errMsg = r.state, r.report, r.errMsg
-		changed := r.changed
-		r.mu.Unlock()
-		if state != StateRunning {
-			return state, report, errMsg
-		}
-		<-changed
-	}
-}
-
-// wait returns the campaign stream position from index `from`:
-// available lines, the terminal event once every line before it is
-// out, and a channel that closes on the next state change — the same
-// discipline as run.wait.
-func (c *campaign) wait(from int) (lines [][]byte, terminal *CampaignStreamEvent, changed <-chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := from; i < len(c.lines) && c.lines[i] != nil; i++ {
-		lines = append(lines, c.lines[i])
-	}
-	if c.state != StateRunning {
-		ready := 0
-		for ; ready < len(c.lines) && c.lines[ready] != nil; ready++ {
-		}
-		if from+len(lines) == ready {
-			terminal = &CampaignStreamEvent{
-				Index: len(c.runs),
-				Total: len(c.runs),
-				Done:  true,
-				State: c.state,
-				Error: c.errMsg,
-			}
-		}
-	}
-	return lines, terminal, c.changed
 }
 
 // GetCampaign returns a campaign by id.
@@ -365,59 +289,9 @@ func (m *Manager) cancelCampaign(id, reason string) (*campaign, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.mu.Lock()
-	if c.state == StateRunning {
-		c.state = StateCanceled
-		c.errMsg = reason
-		c.bump()
-	}
-	c.mu.Unlock()
+	c.finish(outcome{state: StateCanceled, errMsg: reason})
 	for _, r := range c.runs {
 		m.cancelRun(r.id, reason)
 	}
 	return c, true
-}
-
-// pruneCampaigns evicts the oldest finished campaigns past the
-// retention cap, mirroring run pruning. Evicting a campaign releases
-// its members' retention pins (see Manager.pinned) — until then a
-// queryable campaign's member reports stay fetchable.
-func (m *Manager) pruneCampaigns() {
-	m.mu.Lock()
-	if m.retain <= 0 {
-		m.mu.Unlock()
-		return
-	}
-	var terminal []string
-	for _, id := range m.campaignOrder {
-		c := m.campaigns[id]
-		c.mu.Lock()
-		done := c.state != StateRunning
-		c.mu.Unlock()
-		if done {
-			terminal = append(terminal, id)
-		}
-	}
-	if len(terminal) <= m.retain {
-		m.mu.Unlock()
-		return
-	}
-	evict := make(map[string]bool, len(terminal)-m.retain)
-	for _, id := range terminal[:len(terminal)-m.retain] {
-		evict[id] = true
-		for _, r := range m.campaigns[id].runs {
-			delete(m.pinned, r.id)
-		}
-		delete(m.campaigns, id)
-	}
-	kept := m.campaignOrder[:0]
-	for _, id := range m.campaignOrder {
-		if !evict[id] {
-			kept = append(kept, id)
-		}
-	}
-	m.campaignOrder = kept
-	m.mu.Unlock()
-	// Released pins may have made old member runs evictable.
-	m.prune()
 }

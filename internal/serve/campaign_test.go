@@ -296,6 +296,103 @@ func TestCampaignMembersPinnedFromRetention(t *testing.T) {
 	}
 }
 
+// TestCancelCampaign: DELETE /campaigns/{id} while a member blocks. The
+// campaign turns canceled at once, its running member is canceled
+// while a finished one keeps its state, the stream ends with one
+// canceled terminal line after its filled prefix, /report and /trace
+// answer 409 while running and /report after the cancel, a second
+// DELETE keeps canceled, and releasing the block brings nothing back.
+func TestCancelCampaign(t *testing.T) {
+	t.Parallel()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	// Budget 2 with jobs:1 members: member 1 runs beside the blocked
+	// member 0 instead of queuing behind it.
+	ts := newTestServer(t, Config{Factory: blockingFactory(started, release), Budget: 2})
+
+	st, _ := postCampaign(t, ts, `{"jobs":1,"specs":[{"only":["slow"]},{"only":["quick"]}]}`)
+	<-started // member 0 blocks
+	waitFor(t, "member 1 to finish", func() bool {
+		return getCampaignStatus(t, ts, st.ID).Runs[1].State == StateDone
+	})
+	for _, path := range []string{"/report", "/trace"} {
+		if code := getCode(t, ts, "/campaigns/"+st.ID+path); code != http.StatusConflict {
+			t.Errorf("GET %s of a running campaign: status = %d, want 409", path, code)
+		}
+	}
+
+	del := func() CampaignStatus {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+st.ID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got CampaignStatus
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := del(); got.State != StateCanceled {
+		t.Fatalf("state after DELETE = %s, want canceled", got.State)
+	}
+
+	events := campaignStreamEvents(t, ts, st.ID)
+	last := events[len(events)-1]
+	if !last.Done || last.State != StateCanceled || last.Index != 2 {
+		t.Fatalf("stream terminal = %+v, want done/state=canceled at index 2", last)
+	}
+	for i, ev := range events[:len(events)-1] {
+		if ev.Done || ev.Index != i || ev.Run == nil {
+			t.Fatalf("stream event %d = %+v, want member line %d (filled prefix, in order)", i, ev, i)
+		}
+	}
+	members := getCampaignStatus(t, ts, st.ID).Runs
+	if members[0].State != StateCanceled || members[1].State != StateDone {
+		t.Fatalf("member states = %s, %s; want the running member canceled and the finished one done",
+			members[0].State, members[1].State)
+	}
+	if code := getCode(t, ts, "/campaigns/"+st.ID+"/report"); code != http.StatusConflict {
+		t.Errorf("GET /report of a canceled campaign: status = %d, want 409", code)
+	}
+	if got := del(); got.State != StateCanceled {
+		t.Errorf("state after second DELETE = %s, want canceled", got.State)
+	}
+
+	// Let the blocked member's execution drain; its late finish must not
+	// move the member or the campaign out of canceled.
+	close(release)
+	waitFor(t, "the canceled execution to drain", func() bool {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Metrics
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		return err == nil && m.Runs.Canceled == 1
+	})
+	final := getCampaignStatus(t, ts, st.ID)
+	if final.State != StateCanceled || final.Runs[0].State != StateCanceled {
+		t.Fatalf("after release: campaign %s, member 0 %s; want both canceled", final.State, final.Runs[0].State)
+	}
+	if code := getCode(t, ts, "/campaigns/"+st.ID+"/report"); code != http.StatusConflict {
+		t.Errorf("GET /report after release: status = %d, want 409", code)
+	}
+}
+
+// getCode GETs path and returns the status code.
+func getCode(t *testing.T, ts *httptest.Server, path string) int {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // TestCampaignValidation: bad member specs, bad globs, unknown fields,
 // and unknown ids are rejected with the uniform error body.
 func TestCampaignValidation(t *testing.T) {

@@ -207,26 +207,20 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Statu
 // Report fetches a finished run's report bytes verbatim — the payload
 // the byte-identity contract is about, so it is never re-encoded here.
 func (c *Client) Report(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/runs/"+id+"/report", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, newHTTPError(resp)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxReportBody))
+	return c.getVerbatim(ctx, "/runs/"+id+"/report")
 }
 
 // Trace fetches a finished run's span subtree as NDJSON bytes verbatim
 // (GET /runs/{id}/trace) — the records the coordinator grafts under its
 // dispatch span to stitch one federated tree.
 func (c *Client) Trace(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/runs/"+id+"/trace", nil)
+	return c.getVerbatim(ctx, "/runs/"+id+"/trace")
+}
+
+// getVerbatim GETs path and returns a 200 body's bytes untouched,
+// bounded by maxReportBody; any other status is an *HTTPError.
+func (c *Client) getVerbatim(ctx context.Context, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
 		return nil, err
 	}

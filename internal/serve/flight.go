@@ -47,48 +47,23 @@ func (fl *flight) addFollower(r *run) {
 	fl.mu.Unlock()
 }
 
-// flightSnapshot returns the leader-side state the watcher mirrors:
-// terminal fields, a shallow copy of the line slots (the line byte
-// slices themselves are immutable once written), and the change
-// channel to wait on.
-func (r *run) flightSnapshot() (state string, report []byte, errMsg, errKind string, lines [][]byte, changed <-chan struct{}) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state, r.report, r.errMsg, r.errKind, append([][]byte(nil), r.lines...), r.changed
-}
-
-// mirror copies the leader's landed stream lines into every live
-// follower's empty slots, waking follower streams. Slots already
-// filled (from a previous leader, before a failover) are never
-// overwritten.
+// mirror lands the leader's stream lines in every live follower's
+// empty slots, waking follower streams. Slots already filled (from a
+// previous leader, before a failover) are never overwritten.
 func (fl *flight) mirror(lines [][]byte) {
 	fl.mu.Lock()
 	followers := append([]*run(nil), fl.followers...)
 	fl.mu.Unlock()
 	for _, f := range followers {
-		f.mu.Lock()
-		if f.state == StateRunning {
-			moved := false
-			for i, line := range lines {
-				if line != nil && i < len(f.lines) && f.lines[i] == nil {
-					f.lines[i] = line
-					f.completed++
-					moved = true
-				}
-			}
-			if moved {
-				f.bump()
-			}
-		}
-		f.mu.Unlock()
+		f.fill(lines)
 	}
 }
 
-// finish moves every remaining live follower to the leader's terminal
-// state, handing each the leader's report bytes, and drops the
-// followers' retained suites. Followers canceled individually keep
-// their own terminal state.
-func (fl *flight) finish(state string, report []byte, errMsg, errKind string) {
+// finish moves every remaining live follower to the leader's outcome —
+// state, report bytes, and span end alike — and drops the followers'
+// retained suites. Followers canceled individually keep their own
+// terminal state.
+func (fl *flight) finish(o outcome) {
 	fl.mu.Lock()
 	followers := fl.followers
 	fl.followers = nil
@@ -96,13 +71,7 @@ func (fl *flight) finish(state string, report []byte, errMsg, errKind string) {
 	for _, f := range followers {
 		f.mu.Lock()
 		f.suite = nil
-		if f.state == StateRunning {
-			f.state = state
-			f.report = report
-			f.errMsg = errMsg
-			f.errKind = errKind
-		}
-		f.bump()
+		f.finishLocked(o)
 		f.mu.Unlock()
 	}
 }
@@ -116,21 +85,20 @@ func (fl *flight) finish(state string, report []byte, errMsg, errKind string) {
 func (m *Manager) watchFlight(fl *flight) {
 	defer m.execWG.Done()
 	for {
-		leader := fl.currentLeader()
-		state, report, errMsg, errKind, lines, changed := leader.flightSnapshot()
-		fl.mirror(lines)
-		if state == StateRunning {
+		o, changed := fl.currentLeader().wait()
+		fl.mirror(o.lines)
+		if o.state == StateRunning {
 			<-changed
 			continue
 		}
-		if state == StateCanceled && m.promote(fl) {
+		if o.state == StateCanceled && m.promote(fl) {
 			continue
 		}
-		if state == StateCanceled {
-			errMsg = "coalesced run's execution was canceled"
+		if o.state == StateCanceled {
+			o.errMsg = "coalesced run's execution was canceled"
 		}
 		m.removeFlight(fl)
-		fl.finish(state, report, errMsg, errKind)
+		fl.finish(o)
 		return
 	}
 }

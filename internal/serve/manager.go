@@ -111,8 +111,8 @@ type Manager struct {
 	// the campaign stream surfaces their ids (a warm campaign's
 	// members are terminal the moment they are admitted, so without
 	// the pin a small -retain could evict early members before any
-	// client sees them). Pins are released when the campaign itself is
-	// evicted by pruneCampaigns.
+	// client sees them). Pins are released when prune evicts the
+	// campaign itself.
 	pinned map[string]bool
 
 	// campaigns mirror runs: admission-ordered, retained up to the
@@ -172,41 +172,31 @@ func NewManager(factory SuiteFactory, budget, cacheSize int) *Manager {
 	return m
 }
 
-// run is one admitted request's lifecycle state.
+// run is one admitted request. Its lifecycle carries the id, the state,
+// one stream slot per experiment (by report index), the report, and
+// the "run" root span.
 type run struct {
-	id        string
+	lifecycle
+
 	spec      *expt.ResolvedSpec
 	client    string    // quota identity of the admitting client
 	admitted  time.Time // for the run-latency histogram
 	quotaCost int64     // charge held against the client quota (0 = none)
 
-	// rec and root are the run's span tree: every admitted run records
-	// one, rooted at "run" (under the coordinator's dispatch span when
-	// the admission carried a trace link). The recorder has its own
-	// lock, so span calls never contend with r.mu.
-	rec  *trace.Recorder
-	root *trace.Span
+	// rec is the run's span tree: every admitted run records one,
+	// rooted at "run" (under the coordinator's dispatch span when the
+	// admission carried a trace link). The recorder has its own lock,
+	// so span calls never contend with r.mu.
+	rec *trace.Recorder
 
-	mu        sync.Mutex
-	changed   chan struct{} // closed and replaced on every state change
+	// Guarded by mu.
 	cancel    context.CancelFunc
 	suite     *expt.Suite // follower's unrun suite, retained for failover
 	cached    bool
 	coalesced bool
-	state     string
-	completed int
-	lines     [][]byte // per-experiment NDJSON payloads, by report index
-	report    []byte
-	errMsg    string
-	errKind   string
 }
 
-// bump wakes every waiter (stream handlers, flight watchers, tests).
-// Callers hold r.mu.
-func (r *run) bump() {
-	close(r.changed)
-	r.changed = make(chan struct{})
-}
+func (r *run) traceRecords() []trace.Record { return r.rec.Records() }
 
 // status snapshots the run as a RunStatus. withReport embeds the
 // report bytes (GET /runs/{id}); listings omit them.
@@ -300,10 +290,7 @@ func (m *Manager) admitRun(rs *expt.ResolvedSpec, suite *expt.Suite, opts admitO
 		spec:     rs,
 		client:   opts.client,
 		admitted: time.Now(),
-		changed:  make(chan struct{}),
 		cancel:   func() {},
-		state:    StateRunning,
-		lines:    make([][]byte, len(rs.Names)),
 	}
 	// Every admitted run records a span tree. Solo runs name the trace
 	// by their canonical digest — the same identity the caches key by —
@@ -314,27 +301,22 @@ func (m *Manager) admitRun(rs *expt.ResolvedSpec, suite *expt.Suite, opts admitO
 	} else {
 		r.rec = trace.New(digest)
 	}
-	r.root = r.rec.Root("run", fmt.Sprintf("run %s seed %d", rs.Profile, rs.Seed)).Begin()
-	r.root.SetAttr("digest", digest).SetAttr("profile", rs.Profile).SetAttr("seed", rs.Seed)
+	root := r.rec.Root("run", fmt.Sprintf("run %s seed %d", rs.Profile, rs.Seed)).Begin()
+	root.SetAttr("digest", digest).SetAttr("profile", rs.Profile).SetAttr("seed", rs.Seed)
+	r.begin("run", root, len(rs.Names))
 
 	var fl *flight
 	path := admitExec
 	if e, hit := m.cache.get(digest); hit {
 		path = admitCached
 		m.metrics.lruHits.Add(1)
-		r.cached = true
-		r.state = StateDone
-		r.completed = len(e.names)
-		r.lines = e.lines
-		r.report = e.report
-		r.root.SetAttr("cached", true)
-		r.root.End()
+		r.completeFromEntry(e)
 	} else if f, ok := m.flights[digest]; ok {
 		path = admitCoalesced
 		m.metrics.coalesced.Add(1)
 		r.coalesced = true
 		r.suite = suite // retained: the failover suite if the leader cancels
-		r.root.SetAttr("coalesced", true)
+		root.SetAttr("coalesced", true)
 		f.addFollower(r)
 	} else {
 		if !opts.reserved {
@@ -398,23 +380,13 @@ func (m *Manager) admitRun(rs *expt.ResolvedSpec, suite *expt.Suite, opts admitO
 	return r, nil
 }
 
-// completeFromEntry moves an already-registered run to done with a
-// cache entry's artifacts (the persistent-store hit path; LRU hits
-// complete before registration).
+// completeFromEntry moves a run to done with a cache entry's artifacts,
+// without executing: an LRU hit (before the run is registered) or a
+// persistent-store hit.
 func (r *run) completeFromEntry(e *cacheEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.state != StateRunning {
-		return
-	}
-	r.cached = true
-	r.state = StateDone
-	r.completed = len(e.names)
-	r.lines = e.lines
-	r.report = e.report
-	r.root.SetAttr("cached", true)
-	r.root.End()
-	r.bump()
+	r.cached = r.finishLocked(outcome{state: StateDone, report: e.report, lines: e.lines, cached: true})
 }
 
 // reserveSlots atomically claims n execution slots for a campaign's
@@ -519,46 +491,6 @@ func replayLines(report []byte, names []string) ([][]byte, error) {
 	return lines, nil
 }
 
-// prune evicts the oldest finished runs past the retention cap, so
-// the per-run report and stream payloads a long-running server holds
-// stay bounded. Running runs are never evicted; evicted ids answer
-// 404 (the result cache still serves their reports to new requests).
-func (m *Manager) prune() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.retain <= 0 {
-		return
-	}
-	var terminal []string
-	for _, id := range m.order {
-		if m.pinned[id] {
-			continue
-		}
-		r := m.runs[id]
-		r.mu.Lock()
-		done := r.state != StateRunning
-		r.mu.Unlock()
-		if done {
-			terminal = append(terminal, id)
-		}
-	}
-	if len(terminal) <= m.retain {
-		return
-	}
-	evict := make(map[string]bool, len(terminal)-m.retain)
-	for _, id := range terminal[:len(terminal)-m.retain] {
-		evict[id] = true
-		delete(m.runs, id)
-	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		if !evict[id] {
-			kept = append(kept, id)
-		}
-	}
-	m.order = kept
-}
-
 // startExec launches one fresh execution under the shutdown
 // WaitGroup.
 func (m *Manager) startExec(r *run, suite *expt.Suite) {
@@ -581,34 +513,38 @@ func (m *Manager) startExec(r *run, suite *expt.Suite) {
 // run turns done, so a client that sees "done" — or a same-digest
 // request admitted once the flight is gone — finds it cached.
 func (m *Manager) execute(ctx context.Context, r *run, suite *expt.Suite) {
-	ex := m.exec.Execute(ctx, expt.Task{Spec: r.spec, Suite: suite, Parent: r.root, OnResult: r.onResult})
+	ex := m.exec.Execute(ctx, expt.Task{Spec: r.spec, Suite: suite, Parent: r.span, OnResult: r.onResult})
 	if ex.Workers > 0 {
 		m.metrics.executed.Add(1)
 		m.metrics.addSuiteCost(suite.ProbeCost(), suite.ActivationsUsed())
 	}
 	if ex.Remote {
-		// A worker's report arrives whole: replay it into the stream.
-		r.replay(ex.Report)
+		// A worker's report arrives whole: replay it into the stream. The
+		// federator accepted it through expt.SplitReport, so rebuilding
+		// its lines cannot fail.
+		lines, _ := replayLines(ex.Report, r.spec.Names)
+		r.fill(lines)
 	}
-	state, errMsg, errKind := StateDone, "", ""
+	o := outcome{state: StateDone, report: ex.Report}
 	switch {
 	case ex.Canceled:
-		state = StateCanceled
+		o.state = StateCanceled
 	case ex.Err != nil:
-		state = StateFailed
+		o.state = StateFailed
 	}
 	if ex.Err != nil {
-		errMsg = ex.Err.Error()
+		o.errMsg = ex.Err.Error()
 	}
 	if ex.Budget {
-		errKind = ErrorKindBudget
+		o.errKind = ErrorKindBudget
 	}
-	if state == StateDone {
+	if o.state == StateDone {
+		streamed, _ := r.wait()
 		m.cache.add(&cacheEntry{
 			key:    r.spec.Digest(),
 			names:  r.spec.Names,
 			report: ex.Report,
-			lines:  r.snapshotLines(),
+			lines:  streamed.lines,
 		})
 		if m.artifacts != nil {
 			// Write-through, best-effort: a full disk must not fail a
@@ -617,7 +553,7 @@ func (m *Manager) execute(ctx context.Context, r *run, suite *expt.Suite) {
 		}
 	}
 	m.releaseAdmission(r)
-	r.finish(state, ex.Report, errMsg, errKind)
+	r.finish(o)
 	m.observe(r, ex.QueueWait, suite.ProbeCost())
 }
 
@@ -649,9 +585,7 @@ func (m *Manager) retryAfterSeconds() int {
 // observe records one finished execution's outcome, latency, trace,
 // and (when slow) a slow-run log line.
 func (m *Manager) observe(r *run, queueWait time.Duration, probe host.Counters) {
-	r.mu.Lock()
-	state := r.state
-	r.mu.Unlock()
+	state, _ := r.result()
 	wall := time.Since(r.admitted)
 	m.metrics.observeExecution(state, wall)
 
@@ -693,8 +627,8 @@ type SlowRunEvent struct {
 }
 
 // onResult is the suite's per-experiment completion callback: marshal
-// the result once, store it under its report index, and wake streams.
-// It runs on suite worker goroutines, concurrently.
+// the result once and land it under its report index. It runs on suite
+// worker goroutines, concurrently.
 func (r *run) onResult(index, total int, res *expt.ExptResult) {
 	line, err := json.Marshal(StreamEvent{Index: index, Total: total, Experiment: res,
 		ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond)})
@@ -702,57 +636,7 @@ func (r *run) onResult(index, total int, res *expt.ExptResult) {
 		line, _ = json.Marshal(StreamEvent{Index: index, Total: total,
 			Error: fmt.Sprintf("marshal result: %v", err)})
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if index >= 0 && index < len(r.lines) && r.lines[index] == nil {
-		r.lines[index] = line
-		r.completed++
-	}
-	r.bump()
-}
-
-// finish moves the run to a terminal state. A run already canceled by
-// DELETE stays canceled (its late report, if any, is dropped).
-func (r *run) finish(state string, report []byte, errMsg, errKind string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state == StateCanceled {
-		r.bump()
-		return
-	}
-	r.state = state
-	r.report = report
-	r.errMsg = errMsg
-	r.errKind = errKind
-	r.root.SetAttr("state", state)
-	r.root.End()
-	r.bump()
-}
-
-// replay fills the run's empty stream slots from a report that did not
-// stream through this process. The federator accepted the report
-// through expt.SplitReport, so rebuilding its lines cannot fail.
-func (r *run) replay(report []byte) {
-	lines, _ := replayLines(report, r.spec.Names)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state != StateRunning {
-		return
-	}
-	for i, line := range lines {
-		if r.lines[i] == nil {
-			r.lines[i] = line
-			r.completed++
-		}
-	}
-}
-
-// snapshotLines copies the per-experiment payload slice for the cache
-// (the payloads themselves are immutable once written).
-func (r *run) snapshotLines() [][]byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([][]byte(nil), r.lines...)
+	r.land(index, line)
 }
 
 // Get returns a run by id.
@@ -789,14 +673,8 @@ func (m *Manager) cancelRun(id, reason string) (*run, bool) {
 	}
 	r.mu.Lock()
 	cancel := r.cancel
-	if r.state == StateRunning {
-		r.state = StateCanceled
-		r.errMsg = reason
-		r.suite = nil
-		r.root.SetAttr("state", StateCanceled)
-		r.root.End()
-		r.bump()
-	}
+	r.finishLocked(outcome{state: StateCanceled, errMsg: reason})
+	r.suite = nil
 	r.mu.Unlock()
 	cancel()
 	return r, true
@@ -833,38 +711,4 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// wait returns the current stream position: NDJSON lines available
-// from index `from`, the terminal event if the run has finished, and
-// a channel that closes on the next state change. Stream handlers
-// loop: emit lines, emit terminal if done, otherwise wait on the
-// channel (or the client's context).
-func (r *run) wait(from int) (lines [][]byte, terminal *StreamEvent, changed <-chan struct{}) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := from; i < len(r.lines) && r.lines[i] != nil; i++ {
-		lines = append(lines, r.lines[i])
-	}
-	if r.state != StateRunning && from+len(lines) == r.terminalReadyLocked() {
-		terminal = &StreamEvent{
-			Index: len(r.spec.Names),
-			Total: len(r.spec.Names),
-			Done:  true,
-			State: r.state,
-			Error: r.errMsg,
-		}
-	}
-	return lines, terminal, r.changed
-}
-
-// terminalReadyLocked reports how many leading lines must have been
-// emitted before the terminal event may be sent: all of them if every
-// slot filled, otherwise the filled prefix (a canceled-while-queued
-// run has none). Callers hold r.mu.
-func (r *run) terminalReadyLocked() int {
-	n := 0
-	for ; n < len(r.lines) && r.lines[n] != nil; n++ {
-	}
-	return n
 }

@@ -150,16 +150,16 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /runs", s.handleListRuns)
 	s.mux.HandleFunc("GET /runs/{id}", s.handleGetRun)
 	s.mux.HandleFunc("DELETE /runs/{id}", s.handleCancelRun)
-	s.mux.HandleFunc("GET /runs/{id}/report", s.handleReport)
-	s.mux.HandleFunc("GET /runs/{id}/stream", s.handleStream)
-	s.mux.HandleFunc("GET /runs/{id}/trace", s.handleRunTrace)
+	s.mux.HandleFunc("GET /runs/{id}/report", handleReport(s.findRun))
+	s.mux.HandleFunc("GET /runs/{id}/stream", handleStream(s.findRun))
+	s.mux.HandleFunc("GET /runs/{id}/trace", handleTrace(s.findRun))
 	s.mux.HandleFunc("POST /campaigns", s.handleCreateCampaign)
 	s.mux.HandleFunc("GET /campaigns", s.handleListCampaigns)
 	s.mux.HandleFunc("GET /campaigns/{id}", s.handleGetCampaign)
 	s.mux.HandleFunc("DELETE /campaigns/{id}", s.handleCancelCampaign)
-	s.mux.HandleFunc("GET /campaigns/{id}/report", s.handleCampaignReport)
-	s.mux.HandleFunc("GET /campaigns/{id}/stream", s.handleCampaignStream)
-	s.mux.HandleFunc("GET /campaigns/{id}/trace", s.handleCampaignTrace)
+	s.mux.HandleFunc("GET /campaigns/{id}/report", handleReport(s.findCampaign))
+	s.mux.HandleFunc("GET /campaigns/{id}/stream", handleStream(s.findCampaign))
+	s.mux.HandleFunc("GET /campaigns/{id}/trace", handleTrace(s.findCampaign))
 	return s
 }
 
@@ -256,45 +256,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.mgr.Metrics())
-}
-
-// handleRunTrace serves a finished run's span tree: NDJSON (one
-// trace.Record per line) by default, Chrome trace-event JSON — the
-// format Perfetto and chrome://tracing load directly — with
-// ?format=chrome. 409 Conflict until the run reaches a terminal state,
-// so the exported tree is complete and stable.
-func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.run(w, r)
-	if !ok {
-		return
-	}
-	run.mu.Lock()
-	state := run.state
-	run.mu.Unlock()
-	if state == StateRunning {
-		writeError(w, http.StatusConflict, "run %s is still %s", run.id, state)
-		return
-	}
-	writeTrace(w, r, run.rec.Records())
-}
-
-// handleCampaignTrace serves a finished campaign's stitched span tree —
-// the campaign's own spans plus every member run's subtree (including
-// dispatch spans and grafted worker-side records on a federated
-// coordinator) — in the same formats as handleRunTrace.
-func (s *Server) handleCampaignTrace(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.campaign(w, r)
-	if !ok {
-		return
-	}
-	c.mu.Lock()
-	state := c.state
-	c.mu.Unlock()
-	if state == StateRunning {
-		writeError(w, http.StatusConflict, "campaign %s is still %s", c.id, state)
-		return
-	}
-	writeTrace(w, r, c.traceRecords())
 }
 
 // writeTrace renders records in the negotiated trace format.
@@ -415,6 +376,10 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) (*run, bool) {
 	return run, true
 }
 
+func (s *Server) findRun(w http.ResponseWriter, r *http.Request) (tracked, bool) {
+	return s.run(w, r)
+}
+
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.run(w, r)
 	if !ok {
@@ -431,31 +396,6 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, run.status(false))
-}
-
-// handleReport serves the finished report verbatim: the body is
-// byte-identical to `cmd/experiments -json` for the same (profile,
-// seed, selection) — and, for the default full-suite request, to the
-// committed golden fixture. 409 Conflict until the run finishes (or
-// if it was canceled and has no report).
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.run(w, r)
-	if !ok {
-		return
-	}
-	run.mu.Lock()
-	state, report := run.state, run.report
-	run.mu.Unlock()
-	if state == StateRunning {
-		writeError(w, http.StatusConflict, "run %s is still %s", run.id, state)
-		return
-	}
-	if state == StateCanceled || report == nil {
-		writeError(w, http.StatusConflict, "run %s was %s and has no report", run.id, state)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(report)
 }
 
 // handleCreateCampaign admits a campaign: every member spec becomes an
@@ -495,6 +435,10 @@ func (s *Server) campaign(w http.ResponseWriter, r *http.Request) (*campaign, bo
 	return c, true
 }
 
+func (s *Server) findCampaign(w http.ResponseWriter, r *http.Request) (tracked, bool) {
+	return s.campaign(w, r)
+}
+
 func (s *Server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.campaign(w, r)
 	if !ok {
@@ -511,121 +455,4 @@ func (s *Server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, c.status(false))
-}
-
-// handleCampaignReport serves the deterministic aggregate report —
-// byte-identical to `experiments -campaign ... -json` for the same
-// specs. 409 Conflict until the campaign finishes.
-func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.campaign(w, r)
-	if !ok {
-		return
-	}
-	c.mu.Lock()
-	state, report := c.state, c.report
-	c.mu.Unlock()
-	if state == StateRunning {
-		writeError(w, http.StatusConflict, "campaign %s is still %s", c.id, state)
-		return
-	}
-	if state == StateCanceled || report == nil {
-		writeError(w, http.StatusConflict, "campaign %s was %s and has no report", c.id, state)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(report)
-}
-
-// handleCampaignStream serves NDJSON: one CampaignStreamEvent line per
-// member run, strictly in campaign order as runs complete, then a
-// terminal line — the campaign-level twin of handleStream.
-func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.campaign(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	flush()
-
-	next := 0
-	for {
-		lines, terminal, changed := c.wait(next)
-		for _, line := range lines {
-			w.Write(line)
-			w.Write([]byte("\n"))
-		}
-		next += len(lines)
-		if len(lines) > 0 {
-			flush()
-		}
-		if terminal != nil {
-			data, _ := json.Marshal(terminal)
-			w.Write(data)
-			w.Write([]byte("\n"))
-			flush()
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// handleStream serves NDJSON: one StreamEvent line per experiment, in
-// registration order, as results complete — then one terminal line
-// with "done":true and the run's final state. The connection stays
-// open until the run finishes or the client disconnects.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.run(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// Push the headers immediately: a fresh run's first experiment can
-	// take minutes, and until the first flush the client would see
-	// zero bytes on the wire — indistinguishable from a hung server.
-	flush()
-
-	next := 0
-	for {
-		lines, terminal, changed := run.wait(next)
-		for _, line := range lines {
-			w.Write(line)
-			w.Write([]byte("\n"))
-		}
-		next += len(lines)
-		if len(lines) > 0 {
-			flush()
-		}
-		if terminal != nil {
-			data, _ := json.Marshal(terminal)
-			w.Write(data)
-			w.Write([]byte("\n"))
-			flush()
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
 }

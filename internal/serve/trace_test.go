@@ -145,6 +145,38 @@ func TestRunTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestCoalescedFollowerTraceEnds: a coalesced follower's run span ends
+// with its terminal state, exactly like its leader's — the follower
+// finishes through the same lifecycle transition, not a copy of it.
+func TestCoalescedFollowerTraceEnds(t *testing.T) {
+	t.Parallel()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	ts := newTestServer(t, Config{Factory: blockingFactory(started, release)})
+
+	leader, _ := postRun(t, ts, `{"seed":13}`)
+	<-started
+	follower, _ := postRun(t, ts, `{"seed":13}`)
+	if !follower.Coalesced {
+		t.Fatalf("second identical POST not coalesced: %+v", follower)
+	}
+	close(release)
+	for _, id := range []string{leader.ID, follower.ID} {
+		if fin := waitDone(t, ts, id); fin.State != StateDone {
+			t.Fatalf("run %s state = %s", id, fin.State)
+		}
+		root := pathSet(getTrace(t, ts, "/runs/"+id+"/trace"))["run"]
+		var attrs map[string]any
+		if err := json.Unmarshal(root.Attrs, &attrs); err != nil {
+			t.Fatalf("run %s root attrs: %v", id, err)
+		}
+		if root.DurUs <= 0 || attrs["state"] != StateDone {
+			t.Errorf("run %s root span: durUs %d, attrs %s; want it ended with state done",
+				id, root.DurUs, root.Attrs)
+		}
+	}
+}
+
 // TestRunTraceLinkedHeader: a run created with an X-Dramscope-Trace
 // header roots its span tree under the foreign span — same trace ID,
 // path prefixed by the parent's, root parented to the given span ID —
