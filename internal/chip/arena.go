@@ -3,6 +3,7 @@ package chip
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"dramscope/internal/faults"
 	"dramscope/internal/sim"
@@ -23,6 +24,12 @@ import (
 // Reset cheap, the slab keeps the charge words of consecutively
 // touched rows contiguous, which is what the fault, RowCopy, and RD/WR
 // field kernels (burst.go) walk.
+//
+// Charge slabs also outlive their chip: Free clears them and hands them
+// to slabPool, and a later chip's arena takes its slabs from there
+// before allocating, so a process that builds device after device
+// (campaign members, served runs) stops faulting in fresh memory for
+// each one.
 //
 // # Flip-threshold tables
 //
@@ -67,6 +74,34 @@ type drawTab struct {
 	minW []float64 // per-word minima of u
 }
 
+// slabPool holds the all-zero charge slabs of freed chips (*[]uint64,
+// any row width). sync.Pool empties itself across garbage collections,
+// so an idle process retains nothing extra.
+var slabPool sync.Pool
+
+// newSlab returns an all-zero charge slab of n words, recycled from a
+// freed chip when the pool holds one of that length.
+func newSlab(n int) []uint64 {
+	if p, ok := slabPool.Get().(*[]uint64); ok && len(*p) == n {
+		return *p
+	}
+	return make([]uint64, n)
+}
+
+// Free clears the chip's charge slabs and hands them to the slab pool
+// for chips built later, then drops every bank: any later command or
+// Reset on the chip panics. Call it once nothing will use the chip
+// again.
+func (c *Chip) Free() {
+	for i, b := range c.banks {
+		b.resetArena(c.words)
+		for _, slab := range b.slabChunks {
+			slabPool.Put(&slab)
+		}
+		c.banks[i] = nil
+	}
+}
+
 // rowStateFor returns (creating lazily) the state of a wordline
 // WITHOUT materializing pending faults. Callers on the access path
 // must use materialize instead.
@@ -76,7 +111,7 @@ func (c *Chip) rowStateFor(b *bank, wl int) *rowState {
 		ci, ri := b.inUse/arenaChunkRows, b.inUse%arenaChunkRows
 		if ci == len(b.stateChunks) {
 			b.stateChunks = append(b.stateChunks, make([]rowState, arenaChunkRows))
-			b.slabChunks = append(b.slabChunks, make([]uint64, arenaChunkRows*c.words))
+			b.slabChunks = append(b.slabChunks, newSlab(arenaChunkRows*c.words))
 		}
 		rs = &b.stateChunks[ci][ri]
 		slab := b.slabChunks[ci]

@@ -218,6 +218,50 @@ func TestResetEquivalentToFresh(t *testing.T) {
 			t.Fatalf("col %d: warm-table reset chip read %#x, fresh chip %#x", i, warm[i], want[i])
 		}
 	}
+
+	// Third case: Free clears the dirty chip's charge slabs and pools
+	// them, and a chip built afterwards takes its slabs from that pool.
+	// Recycled slabs must read as power-on.
+	dirty.c.Free()
+	recycled := newTB(t, prof, 99)
+	got = scenario(recycled)
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("col %d: chip built after Free read %#x, fresh chip %#x", i, got[i], want[i])
+		}
+	}
+}
+
+// A freed chip has no banks: every later command or Reset panics
+// instead of running on slabs another chip may own by then.
+func TestUseAfterFreePanics(t *testing.T) {
+	uses := []struct {
+		name string
+		use  func(c *Chip)
+	}{
+		{"ACT", func(c *Chip) { _, _ = c.Exec(sim.Command{Op: sim.ACT, At: c.Now() + sim.Second, Row: 1}) }},
+		{"PRE", func(c *Chip) { _, _ = c.Exec(sim.Command{Op: sim.PRE, At: c.Now() + sim.Second}) }},
+		{"REF", func(c *Chip) { _, _ = c.Exec(sim.Command{Op: sim.REF, At: c.Now() + sim.Second}) }},
+		{"RD batch", func(c *Chip) {
+			_ = c.ExecBatch(sim.Batch{Op: sim.RD, At: c.Now() + sim.Second, Count: 1, Stride: 1}, make([]uint64, 1))
+		}},
+		{"Pulse", func(c *Chip) { _ = c.Pulse(0, 1, 10, c.Timing().TRAS, c.Timing().TRP) }},
+		{"Reset", func(c *Chip) { c.Reset() }},
+		{"Free", func(c *Chip) { c.Free() }},
+	}
+	for _, u := range uses {
+		h := newTB(t, topo.Small(), 3)
+		h.writeRow(0, 1, 0xf0f0f0f0)
+		h.c.Free()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a freed chip did not panic", u.name)
+				}
+			}()
+			u.use(h.c)
+		}()
+	}
 }
 
 func TestExecBatchRejects(t *testing.T) {

@@ -26,10 +26,24 @@
 // Exec loop (asserted by tests) and is what the host's composite
 // operations use.
 //
+// # RowCopy latch
+//
+// A PRE (or the last precharge of a Pulse train) leaves the sensed
+// row's charge on the bitlines, and an ACT within RowCopyMaxGap copies
+// it onto the destination row. The bank latches that charge by
+// reference: it remembers the sensed row and reads its charge words in
+// place when an ACT consumes them. Only two things can change the
+// latched row before the consuming ACT — a REF on the bank, which
+// materializes every touched row, and the ACT's own materialize when the
+// destination is the latched row itself — so exactly those two points
+// snapshot the charge into the bank's latch buffer first, and only
+// while an ACT could still consume it.
+//
 // # Untouched rows
 //
 // Rows never written behave as discharged since power-on. Their data
-// reads as 0 on true-cell subarrays and 1 on anti-cell subarrays.
+// reads as 0 on true-cell subarrays and 1 on anti-cell subarrays. A
+// fresh row holds no charge, so its first materialize skips retention.
 package chip
 
 import (
@@ -82,7 +96,8 @@ type bank struct {
 	openSince sim.Time
 	lastPre   sim.Time
 	latchWL   int      // wordline whose charge the bitlines still hold, or -1
-	latch     []uint64 // bitline charge snapshot taken at PRE
+	latched   []uint64 // that charge: the row's own words, or latchBuf once snapshot
+	latchBuf  []uint64 // snapshot storage (see snapshotLatch)
 
 	// Per-wordline bookkeeping, dense-indexed by physical wordline.
 	// touched lists the wordlines holding state (insertion order), so
@@ -148,13 +163,13 @@ func New(prof topo.Profile, seed uint64) (*Chip, error) {
 	physRows := t.PhysRows()
 	for i := 0; i < prof.Banks; i++ {
 		c.banks = append(c.banks, &bank{
-			openWL:  -1,
-			latchWL: -1,
-			lastPre: math.MinInt64 / 2,
-			latch:   make([]uint64, c.words),
-			rows:    make([]*rowState, physRows),
-			acts:    make([]int64, physRows),
-			press:   make([]float64, physRows),
+			openWL:   -1,
+			latchWL:  -1,
+			lastPre:  math.MinInt64 / 2,
+			latchBuf: make([]uint64, c.words),
+			rows:     make([]*rowState, physRows),
+			acts:     make([]int64, physRows),
+			press:    make([]float64, physRows),
 		})
 	}
 	return c, nil
@@ -185,6 +200,7 @@ func (c *Chip) Reset() {
 		b.openSince = 0
 		b.lastPre = math.MinInt64 / 2
 		b.latchWL = -1
+		b.latched = nil
 		b.wlActs = 0
 		for _, wl := range b.touched {
 			b.rows[wl] = nil
@@ -351,6 +367,9 @@ func (c *Chip) activate(bankID, row int, t sim.Time) error {
 	wl, half := c.topo.MapRow(row)
 
 	gap := t - b.lastPre
+	if wl == b.latchWL {
+		c.snapshotLatch(b, t) // materialize may change the latched row
+	}
 	rs := c.materialize(bankID, wl, t)
 	if b.latchWL >= 0 && gap <= c.timing.RowCopyMaxGap {
 		c.chargeShare(b, rs, wl)
@@ -398,7 +417,24 @@ func (c *Chip) chargeShare(b *bank, dst *rowState, dstWL int) {
 		cov, inv = evenMask, ^uint64(0)
 	}
 	for w, d := range dst.charge {
-		dst.charge[w] = (d &^ cov) | ((b.latch[w] ^ inv) & cov)
+		dst.charge[w] = (d &^ cov) | ((b.latched[w] ^ inv) & cov)
+	}
+}
+
+// latch records a wordline's charge as the bitline state a RowCopy can
+// consume, by reference (see the package doc).
+func (b *bank) latch(wl int, rs *rowState, t sim.Time) {
+	b.latchWL = wl
+	b.latched = rs.charge
+	b.lastPre = t
+}
+
+// snapshotLatch copies the latched charge out of its row before the
+// row changes at time t, if an ACT at t or later could still consume it.
+func (c *Chip) snapshotLatch(b *bank, t sim.Time) {
+	if b.latchWL >= 0 && t-b.lastPre <= c.timing.RowCopyMaxGap {
+		copy(b.latchBuf, b.latched)
+		b.latched = b.latchBuf
 	}
 }
 
@@ -416,10 +452,7 @@ func (c *Chip) precharge(bankID int, t sim.Time) error {
 		b.press[wl] += float64(over)
 	}
 	// Latch the bitline state for a potential RowCopy.
-	rs := c.rowStateFor(b, wl)
-	copy(b.latch, rs.charge)
-	b.latchWL = wl
-	b.lastPre = t
+	b.latch(wl, c.rowStateFor(b, wl), t)
 	b.openWL = -1
 	return nil
 }
@@ -539,6 +572,7 @@ func (c *Chip) refresh(bankID int, t sim.Time) error {
 	}
 	// Lazy all-rows refresh: materialize and re-snapshot every row
 	// that has state. Stateless rows are discharged and cannot decay.
+	c.snapshotLatch(b, t) // the latched row is among them
 	for _, wl := range b.touched {
 		c.materialize(bankID, int(wl), t)
 	}
@@ -598,9 +632,7 @@ func (c *Chip) pulse(bankID, row, n int, tOn, tGap sim.Time) error {
 		b.press[wl] += float64(over) * float64(n)
 	}
 	end := c.now + sim.Time(n)*(tOn+tGap)
-	copy(b.latch, rs.charge)
-	b.latchWL = wl
-	b.lastPre = end
+	b.latch(wl, rs, end)
 	c.now = end
 	return nil
 }
@@ -611,6 +643,7 @@ func (c *Chip) pulse(bankID, row, n int, tOn, tGap sim.Time) error {
 // retention) to a wordline and re-snapshots it as restored at time t.
 func (c *Chip) materialize(bankID, wl int, t sim.Time) *rowState {
 	b := c.banks[bankID]
+	fresh := b.rows[wl] == nil
 	rs := c.rowStateFor(b, wl)
 
 	var upWL, downWL = wl + 1, wl - 1
@@ -637,9 +670,12 @@ func (c *Chip) materialize(bankID, wl int, t sim.Time) *rowState {
 	// neighborhood. This keeps incidental activations — row scans,
 	// RowCopy sequences — at O(1), and reduces retention-only
 	// materializations to a word-packed scan of charged cells.
+	// Retention only clears charged cells, and a row this call creates
+	// holds none, so a fresh row skips it outright; hammer and press
+	// still apply, since they also flip discharged cells.
 	hammerOn := float64(dUpActs+dDownActs)*c.maxHammerF >= c.fp.HammerMinStress
 	pressOn := (dUpPress+dDownPress)*c.maxPressF >= c.fp.PressMinStress
-	hasRet := elapsed > c.retMin
+	hasRet := !fresh && elapsed > c.retMin
 
 	if hammerOn || pressOn {
 		c.applyFaults(bankID, b, rs, wl,

@@ -586,7 +586,7 @@ func TestVendorScales(t *testing.T) {
 	}
 }
 
-func mustProfile(t *testing.T, name string) topo.Profile {
+func mustProfile(t testing.TB, name string) topo.Profile {
 	t.Helper()
 	p, ok := topo.ByName(name)
 	if !ok {

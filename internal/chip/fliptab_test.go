@@ -109,6 +109,55 @@ func runFaultTrial(t testing.TB, c *Chip, wl int, pre, up, down []uint64,
 	}
 }
 
+// A never-written victim first touched after the retention floor takes
+// materialize's fresh-row branch, which skips retention, while its
+// aggressor's 2M pulses keep the hammer live. It must still match the
+// scalar reference bit for bit, discharged-cell flips included.
+func TestFreshVictimMatchesReference(t *testing.T) {
+	h := newTB(t, topo.Small(), 21)
+	c := h.c
+	const victim, aggr = 40, 41 // interior wordlines of subarray 0
+	h.writeRow(0, c.topo.UnmapRow(aggr, 0), 0xa5a5a5a5)
+	h.step(sim.Nanosecond)
+	if err := c.AdvanceTo(h.at); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Pulse(0, c.topo.UnmapRow(aggr, 0), 2_000_000, c.Timing().TRAS, c.Timing().TRP); err != nil {
+		t.Fatal(err)
+	}
+	h.at = c.Now() + 20*sim.Millisecond
+
+	b := c.banks[0]
+	if b.rows[victim] != nil || b.rows[victim-1] != nil {
+		t.Fatal("victim or its lower neighbor already holds state")
+	}
+	tAct := h.at + c.Timing().TRP + sim.Nanosecond // when h.act issues the ACT
+	if tAct <= c.retMin {
+		t.Fatalf("victim touched at %v, not after the retention floor %v", tAct, c.retMin)
+	}
+	want := refFaultsRow(c, 0, victim, make([]uint64, c.words), b.rows[aggr].charge, nil,
+		b.acts[aggr], 0, b.press[aggr], 0, tAct, true, true)
+	flips := 0
+	for _, w := range want {
+		flips += bits.OnesCount64(w)
+	}
+	if flips == 0 {
+		t.Fatal("the reference flips no cell: the hammer never reaches the fresh victim")
+	}
+
+	h.act(0, c.topo.UnmapRow(victim, 0))
+	if h.at != tAct {
+		t.Fatalf("ACT issued at %v, reference taken at %v", h.at, tAct)
+	}
+	got := b.rows[victim].charge
+	for w := range want {
+		if got[w] != want[w] {
+			t.Fatalf("word %d: fresh victim %#x, scalar reference %#x", w, got[w], want[w])
+		}
+	}
+	h.pre(0)
+}
+
 // bandElapsed returns an interval within a picosecond of the retention
 // time of the k-th charged cell of a row (d in {-1, 0, 1}), so the
 // cell's draw lands inside the retention screen's exact band — random

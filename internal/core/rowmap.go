@@ -140,20 +140,25 @@ func lutFromAdjacency(adj map[int][]int, base, wnd int) ([4]int, error) {
 		return [4]int{}, fmt.Errorf("core: no chain endpoint found (window may cross a subarray boundary)")
 	}
 	chain := []int{start}
-	prev := -1
-	cur := start
-	for len(chain) < wnd {
-		next := -1
+	visited := map[int]bool{start: true}
+	for cur := start; len(chain) < wnd; {
+		next, branches := -1, 0
 		for n := range nb[cur] {
-			if n != prev {
+			if !visited[n] {
 				next = n
+				branches++
 			}
 		}
-		if next == -1 {
+		switch {
+		case branches == 0:
 			return [4]int{}, fmt.Errorf("core: adjacency chain broke at row %d", cur)
+		case branches > 1:
+			// Which branch the walk took would depend on map order.
+			return [4]int{}, fmt.Errorf("core: adjacency chain branches at row %d (%d unvisited in-window neighbors)", cur, branches)
 		}
 		chain = append(chain, next)
-		prev, cur = cur, next
+		visited[next] = true
+		cur = next
 	}
 
 	// The absolute physical direction is unknowable; canonicalize by

@@ -186,6 +186,17 @@ func (e *Env) Release() {
 	e.Host = nil
 }
 
+// free hands the device memory of a root Env, and of every clone chip
+// parked in its pool, to the chip package for reuse (chip.Free). The
+// Env's probe results and host counters stay readable; its devices are
+// gone.
+func (e *Env) free() {
+	for v := e.pool.Get(); v != nil; v = e.pool.Get() {
+		v.(*chip.Chip).Free()
+	}
+	e.Chip.Free()
+}
+
 // Order runs (and caches) the row-order probe.
 func (e *Env) Order() (*core.RowOrder, error) {
 	return e.order.get(func() (*core.RowOrder, error) {

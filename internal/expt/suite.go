@@ -796,6 +796,16 @@ func (s *Suite) Run(opt Options) (*Report, error) {
 		s.mu.Unlock()
 	}
 
+	// Every measurement is done and the warm spans are recorded: from
+	// here on only the device Envs' host counters are read (ProbeCost,
+	// ActivationsUsed), so their devices' memory goes back to the chip
+	// package for the next suite's devices.
+	s.mu.Lock()
+	for _, e := range s.envs {
+		e.free()
+	}
+	s.mu.Unlock()
+
 	rep := &Report{Seed: s.seed}
 	for _, n := range nodes {
 		if n.hidden {

@@ -25,7 +25,8 @@ import (
 
 // Target is the device interface the host drives. *chip.Chip
 // implements it. ExecBatch is the production path (Hammer and Press
-// issue ACT trains as batches); Exec is the scalar reference.
+// issue ACT trains as batches); Exec is the scalar reference. Timing
+// is constant for a target's lifetime: New reads it once.
 type Target interface {
 	Exec(sim.Command) (uint64, error)
 	ExecBatch(b sim.Batch, out []uint64) error
@@ -75,6 +76,7 @@ func (c Counters) String() string {
 // Host issues timed command sequences against a target.
 type Host struct {
 	t  Target
+	tm sim.Timing // t.Timing(), constant for the target's lifetime
 	at sim.Time
 
 	// Command totals. Atomic so concurrent readers (progress
@@ -100,7 +102,7 @@ type Host struct {
 
 // New wraps a target.
 func New(t Target) *Host {
-	return &Host{t: t, at: t.Now()}
+	return &Host{t: t, tm: t.Timing(), at: t.Now()}
 }
 
 // Target returns the wrapped device.
@@ -158,7 +160,7 @@ func (h *Host) exec(cmd sim.Command) (uint64, error) {
 // subsequent one another tRCD later, exactly like the scalar
 // Read/Write loop it replaces. One counter add covers the burst.
 func (h *Host) execBatch(b sim.Batch, out []uint64) error {
-	trcd := h.t.Timing().TRCD
+	trcd := h.tm.TRCD
 	b.At = h.at + trcd
 	b.Gap = trcd
 	h.at = b.End()
@@ -177,34 +179,34 @@ func (h *Host) Wait(d sim.Time) error {
 
 // Activate opens a row after a full precharge interval.
 func (h *Host) Activate(bank, row int) error {
-	h.step(h.t.Timing().TRP + h.t.Timing().TCK)
+	h.step(h.tm.TRP + h.tm.TCK)
 	_, err := h.exec(sim.Command{Op: sim.ACT, Bank: bank, Row: row})
 	return err
 }
 
 // Precharge closes the open row after tRAS.
 func (h *Host) Precharge(bank int) error {
-	h.step(h.t.Timing().TRAS)
+	h.step(h.tm.TRAS)
 	_, err := h.exec(sim.Command{Op: sim.PRE, Bank: bank})
 	return err
 }
 
 // Read returns one burst from the open row.
 func (h *Host) Read(bank, col int) (uint64, error) {
-	h.step(h.t.Timing().TRCD)
+	h.step(h.tm.TRCD)
 	return h.exec(sim.Command{Op: sim.RD, Bank: bank, Col: col})
 }
 
 // Write stores one burst into the open row.
 func (h *Host) Write(bank, col int, data uint64) error {
-	h.step(h.t.Timing().TRCD)
+	h.step(h.tm.TRCD)
 	_, err := h.exec(sim.Command{Op: sim.WR, Bank: bank, Col: col, Data: data})
 	return err
 }
 
 // Refresh issues a bank refresh.
 func (h *Host) Refresh(bank int) error {
-	h.step(h.t.Timing().TCK)
+	h.step(h.tm.TCK)
 	_, err := h.exec(sim.Command{Op: sim.REF, Bank: bank})
 	return err
 }
@@ -357,8 +359,7 @@ func (h *Host) WriteCols(bank, row int, cols []int, data []uint64) error {
 // (ACT/PRE pairs at minimum legal spacing; §V-B uses 300K), issued as
 // one ACT-train batch.
 func (h *Host) Hammer(bank, row, n int) error {
-	tm := h.t.Timing()
-	return h.pulseTrain(bank, row, n, tm.TRAS)
+	return h.pulseTrain(bank, row, n, h.tm.TRAS)
 }
 
 // Press performs n RowPress activations, keeping the row open for tOn
@@ -371,9 +372,8 @@ func (h *Host) Press(bank, row, n int, tOn sim.Time) error {
 // precharge gap as a single batch kernel, counting the expanded
 // pulses with one add per opcode.
 func (h *Host) pulseTrain(bank, row, n int, tOn sim.Time) error {
-	tm := h.t.Timing()
 	b := sim.Batch{Op: sim.ACT, At: h.at, Bank: bank, Row: row,
-		Count: n, On: tOn, Gap: tOn + tm.TRP}
+		Count: n, On: tOn, Gap: tOn + h.tm.TRP}
 	if err := h.t.ExecBatch(b, nil); err != nil {
 		return err
 	}

@@ -95,7 +95,7 @@ func (h *Host) Run(p *Program) ([]uint64, error) {
 }
 
 func (h *Host) run(p *Program, out *[]uint64) error {
-	tck := h.t.Timing().TCK
+	tck := h.tm.TCK
 	for i := range p.instrs {
 		in := &p.instrs[i]
 		if in.kind == iLoop {
