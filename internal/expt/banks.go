@@ -107,11 +107,7 @@ func BankSurveyPart(banks int) *Partition {
 	return &Partition{
 		Units: banks,
 		Unit: func(sj *ShardJob) (interface{}, error) {
-			c, err := sj.CloneEnv()
-			if err != nil {
-				return nil, err
-			}
-			return BankSurvey(c, sj.Unit())
+			return BankSurvey(sj.Env(), sj.Unit())
 		},
 		Merge: func(j *Job, units []interface{}) error {
 			rows := make([]*BankSurveyRow, len(units))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dramscope/internal/topo"
+	"dramscope/internal/trace"
 )
 
 // budgetSuite is a pure device-chain suite (no free-floating
@@ -156,11 +157,7 @@ func TestBudgetStopsUnwarmedPartition(t *testing.T) {
 		Part: &Partition{
 			Units: 2,
 			Unit: func(sj *ShardJob) (interface{}, error) {
-				c, err := sj.CloneEnv()
-				if err != nil {
-					return nil, err
-				}
-				_, err = c.Order()
+				_, err := sj.Env().Order()
 				return nil, err
 			},
 			Merge: func(j *Job, vals []interface{}) error { return nil },
@@ -199,11 +196,7 @@ func TestBudgetPartitionUnits(t *testing.T) {
 		Part: &Partition{
 			Units: 4,
 			Unit: func(sj *ShardJob) (interface{}, error) {
-				c, err := sj.CloneEnv()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := c.Order(); err != nil {
+				if _, err := sj.Env().Order(); err != nil {
 					return nil, err
 				}
 				return sj.Unit(), nil
@@ -227,5 +220,68 @@ func TestBudgetPartitionUnits(t *testing.T) {
 	}
 	if want := fmt.Sprintf("unit 0/4: %s", be.Error()); rep.Results[0].Err.Error() != want {
 		t.Fatalf("merge error = %q, want %q", rep.Results[0].Err, want)
+	}
+}
+
+// TestPartitionUnitsMetered: partition units measure on clones the
+// scheduler makes and meters, exactly like a Run. Fig. 16's units
+// therefore carry their sweep's cost on their kernel spans, the meter
+// is the probe chain plus those kernels, and a cap one ACT past the
+// probe chain stops the sweep at its first unit.
+func TestPartitionUnitsMetered(t *testing.T) {
+	t.Parallel()
+	fig16Suite := func() *Suite {
+		s := NewSuite(7)
+		s.RegisterProfile(topo.Small())
+		if err := s.Register(Experiment{
+			Name:  "fig16",
+			Title: "Figures 16-17 (Small device)",
+			Needs: Needs{Device: topo.Small().Name, Probe: ProbeSwizzle},
+			Part:  Fig16Part(4),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	s := fig16Suite()
+	rec := trace.New("metered")
+	root := rec.Root("run", "run").Begin()
+	rep, err := s.Run(Options{Spec: RunSpec{Jobs: 1}, Trace: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var kernels int64
+	units := 0
+	for _, r := range rec.Records() {
+		if !strings.HasPrefix(r.Path, "run/expt:fig16/unit:") || !strings.HasSuffix(r.Path, "/kernel") {
+			continue
+		}
+		units++
+		if r.Counters == nil || r.Counters.ACT <= 0 {
+			t.Fatalf("%s carries no ACTs: %+v", r.Path, r)
+		}
+		kernels += r.Counters.ACT
+	}
+	if units != fig16Combos {
+		t.Fatalf("%d unit kernel spans, want %d", units, fig16Combos)
+	}
+	probe := s.ProbeCost().ACT
+	if got := s.ActivationsUsed() - probe; got != kernels {
+		t.Fatalf("meter charged %d ACTs beyond the probe chain, unit kernels sum to %d", got, kernels)
+	}
+
+	capped := fig16Suite()
+	rep, err = capped.Run(Options{Spec: RunSpec{Jobs: 1, MaxActivations: probe + 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "unit 0/256: activation budget exceeded: 1107860044 ACTs used, cap 1105460029"
+	if got := rep.Results[0].Err; got == nil || got.Error() != want {
+		t.Fatalf("capped sweep: err = %v, want %q", got, want)
 	}
 }

@@ -446,17 +446,12 @@ func RenderFig15(r *Fig15Result) *stats.Table {
 // the combination (victim u/16, aggressor u%16).
 const fig16Combos = 256
 
-// fig16Unit measures one victim/aggressor combination on a pristine
-// clone of the (warmed) env. Running every combination on its own
+// fig16Unit measures one victim/aggressor combination on c, a pristine
+// clone of the warmed device Env. Running every combination on its own
 // clone makes the combinations fully independent: the sweep result
 // cannot depend on the order they run in, on how they are grouped into
 // shards, or on what other experiments did to the parent device.
-func fig16Unit(e *Env, rows, unit int) (stats.BER, error) {
-	c, err := e.Clone()
-	if err != nil {
-		return stats.BER{}, err
-	}
-	defer c.Release()
+func fig16Unit(c *Env, rows, unit int) (stats.BER, error) {
 	a, err := c.AIB()
 	if err != nil {
 		return stats.BER{}, err
@@ -481,7 +476,12 @@ func Fig16(e *Env, rows int) (*core.SweepResult, error) {
 	}
 	var rates [16][16]stats.BER
 	for u := 0; u < fig16Combos; u++ {
-		r, err := fig16Unit(e, rows, u)
+		c, err := e.Clone()
+		if err != nil {
+			return nil, err
+		}
+		r, err := fig16Unit(c, rows, u)
+		c.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -491,9 +491,9 @@ func Fig16(e *Env, rows int) (*core.SweepResult, error) {
 }
 
 // Fig16Part is the partitioned form of the sweep for the Suite
-// scheduler: one unit per victim/aggressor combination, merged into
-// the rendered Figure 16 table (and a SweepResult stored for
-// dependents). See fig16Unit for why units clone.
+// scheduler: one unit per victim/aggressor combination, each measured
+// on the clone the scheduler made for it, merged into the rendered
+// Figure 16 table (and a SweepResult stored for dependents).
 func Fig16Part(rows int) *Partition {
 	return &Partition{
 		Units: fig16Combos,

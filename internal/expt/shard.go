@@ -1,10 +1,6 @@
 package expt
 
-import (
-	"fmt"
-
-	"dramscope/internal/host"
-)
+import "fmt"
 
 // Partition declares an Experiment as a set of independent work units
 // that the scheduler may fan out across the worker pool — the
@@ -17,24 +13,25 @@ import (
 // AND any shard count, so the unit — not the shard — is the atom of
 // both seeding and device state. Each unit receives its own seed
 // (rng.SplitN of the experiment seed by unit index) and must touch no
-// mutable state shared with other units: a unit that measures clones
-// the warmed parent Env (ShardJob.CloneEnv) and drives its own
-// pristine device. Shards are then pure batching — Options.Shards
-// groups units onto scheduler nodes to bound overhead — and can never
-// change a result. Merge receives the unit results indexed by unit,
-// independent of grouping or completion order, and must be a pure
-// function of them.
+// mutable state shared with other units: like a monolithic Run, a unit
+// measures on the pristine clone of the warmed device Env that the
+// scheduler made, meters and releases for it (ShardJob.Env). Shards
+// are then pure batching — Options.Shards groups units onto scheduler
+// nodes to bound overhead — and can never change a result. Merge
+// receives the unit results indexed by unit, independent of grouping
+// or completion order, and must be a pure function of them.
 type Partition struct {
 	// Units is the number of independent work units (> 0).
 	Units int
 	// Unit runs one unit. It executes concurrently with other units of
-	// the same experiment; everything it reads through ShardJob is
-	// read-only shared state.
+	// the same experiment; its ShardJob's Env is its own, everything
+	// else it reads is read-only shared state.
 	Unit func(*ShardJob) (interface{}, error)
 	// Merge combines the unit results (indexed by unit) into the
 	// experiment's output block. It runs on the experiment's visible
 	// node, after every unit completed, with the parent Job — Emit,
-	// Printf, SetResult, and Result all work as in a plain Run.
+	// Printf, SetResult, and Result all work as in a plain Run, but
+	// Env is nil: a merge issues no device commands.
 	Merge func(*Job, []interface{}) error
 }
 
@@ -53,18 +50,13 @@ func (p *Partition) validate(name string) error {
 }
 
 // ShardJob is the handle a Partition's Unit receives: the unit index,
-// the unit's own seed, and the shared (warmed, read-only) device Env.
+// the unit's own seed, and the unit's own measurement Env.
 type ShardJob struct {
 	name string
 	unit int
 	of   int
 	seed uint64
 	env  *Env
-
-	// clones records the measurement Envs this unit created, so the
-	// scheduler can charge their activations against the run's budget
-	// after the unit completes. A unit runs on one goroutine; no lock.
-	clones []*Env
 }
 
 // Name returns the owning experiment's registered name.
@@ -81,60 +73,11 @@ func (sj *ShardJob) Units() int { return sj.of }
 // counts.
 func (sj *ShardJob) Seed() uint64 { return sj.seed }
 
-// Env returns the shared device Env (nil unless Needs.Device is set),
-// warmed to the experiment's probe level. Units must treat it as
-// read-only: reading cached probe results is safe, issuing commands
-// through its Host is not — measure on CloneEnv instead.
+// Env returns the unit's measurement Env (nil unless Needs.Device is
+// set): a pristine clone of the device's shared Env, warmed to the
+// experiment's probe level — probe results read from its cache,
+// commands drive a fresh device no other unit touches. The scheduler
+// made it for this unit alone, meters the activations it issues and
+// recycles its device when the unit returns, so the unit must not
+// retain it.
 func (sj *ShardJob) Env() *Env { return sj.env }
-
-// CloneEnv returns a pristine clone of the shared Env for this unit to
-// measure on: same profile and fault seed, fresh device state, probe
-// cache primed from the parent (see Env.Clone). Every unit must clone
-// rather than share a measuring device, so that its result cannot
-// depend on which units ran before it — the property that makes the
-// merged report independent of the shard count.
-func (sj *ShardJob) CloneEnv() (*Env, error) {
-	if sj.env == nil {
-		return nil, fmt.Errorf("expt: %s unit %d has no device Env to clone", sj.name, sj.unit)
-	}
-	c, err := sj.env.Clone()
-	if err != nil {
-		return nil, err
-	}
-	sj.clones = append(sj.clones, c)
-	return c, nil
-}
-
-// acts sums the activations this unit's measurement clones issued —
-// the unit's contribution to the run's activation budget.
-func (sj *ShardJob) acts() int64 {
-	var total int64
-	for _, c := range sj.clones {
-		total += c.Commands().ACT
-	}
-	return total
-}
-
-// cost sums the full command counters and batched-burst dispatch
-// counts of this unit's measurement clones — the unit's kernel span
-// attribution. Like acts, it is a pure function of (profile, seed,
-// unit), so trace shapes carrying it stay byte-identical for any
-// jobs/shards value. Must be read before release.
-func (sj *ShardJob) cost() (total host.Counters, batches int64) {
-	for _, c := range sj.clones {
-		total = total.Add(c.Commands())
-		batches += c.Host.Batches()
-	}
-	return total, batches
-}
-
-// release returns every measurement clone's device to the parent
-// Env's pool, once the scheduler has charged their activations. The
-// next unit's CloneEnv then recycles a Reset device instead of
-// allocating a bank's worth of state.
-func (sj *ShardJob) release() {
-	for _, c := range sj.clones {
-		c.Release()
-	}
-	sj.clones = nil
-}

@@ -15,9 +15,9 @@ import (
 )
 
 // partSuite builds a suite around one partitioned experiment on the
-// Small device: each unit clones the warmed env, reads the recovered
-// subarray layout through the primed cache, and mixes in its own seed.
-// It exercises every shard-layer feature except heavy measurement.
+// Small device: each unit reads the recovered subarray layout through
+// its clone's primed cache, and mixes in its own seed. It exercises
+// every shard-layer feature except heavy measurement.
 func partSuite(t *testing.T, seed uint64) *Suite {
 	t.Helper()
 	s := NewSuite(seed)
@@ -44,11 +44,7 @@ func partSuite(t *testing.T, seed uint64) *Suite {
 		Part: &Partition{
 			Units: 6,
 			Unit: func(sj *ShardJob) (interface{}, error) {
-				c, err := sj.CloneEnv()
-				if err != nil {
-					return nil, err
-				}
-				sub, err := c.Subarrays()
+				sub, err := sj.Env().Subarrays()
 				if err != nil {
 					return nil, err
 				}
@@ -58,6 +54,10 @@ func partSuite(t *testing.T, seed uint64) *Suite {
 				return fmt.Sprintf("%d:%d:%#x", sj.Unit(), len(sub.Heights), sj.Seed()), nil
 			},
 			Merge: func(j *Job, units []interface{}) error {
+				// The merge measures nothing, so it gets no device.
+				if j.Env() != nil {
+					return fmt.Errorf("merge got a device Env")
+				}
 				tbl := stats.NewTable("unit", "result")
 				for i, u := range units {
 					tbl.Row(i, u)
@@ -285,12 +285,11 @@ func TestCrossShardEnvFailureSurfacesRootCause(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The device failure is reported as is: neither a skip nor
+		// wrapped as a unit failure.
 		got := rep.Results[0].Err
-		if got == nil || !strings.Contains(got.Error(), `unknown device profile "ghost-device"`) {
-			t.Errorf("shards=%d: visible error %v, want the unknown-device root cause", shards, got)
-		}
-		if strings.Contains(fmt.Sprint(got), "skipped") {
-			t.Errorf("shards=%d: root cause hidden behind a skip: %v", shards, got)
+		if want := `suite: unknown device profile "ghost-device"`; got == nil || got.Error() != want {
+			t.Errorf("shards=%d: visible error %v, want %q", shards, got, want)
 		}
 	}
 }

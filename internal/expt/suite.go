@@ -67,9 +67,8 @@ type Needs struct {
 
 // Job is the handle an Experiment's Run receives: its split seed, its
 // device Env (if any — a pristine, probe-primed clone of the device's
-// shared Env for a Run, the shared Env itself for a Partition's
-// Merge, which must not issue commands), its output buffer, and the
-// results of its dependencies.
+// shared Env; a Partition's Merge gets none), its output buffer, and
+// the results of its dependencies.
 type Job struct {
 	name  string
 	seed  uint64
@@ -90,11 +89,11 @@ func (j *Job) Name() string { return j.name }
 // selection subsets.
 func (j *Job) Seed() uint64 { return j.seed }
 
-// Env returns the device Env (nil unless Needs.Device is set). For a
-// monolithic Run it is a pristine clone of the device's shared Env —
-// probe results read from its cache, commands drive a fresh device.
-// For a Partition's Merge it is the shared Env itself and must be
-// treated as read-only.
+// Env returns the Run's measurement Env (nil unless Needs.Device is
+// set): a pristine clone of the device's shared Env — probe results
+// read from its cache, commands drive a fresh device. The scheduler
+// meters its activations and recycles its device when the Run returns.
+// It is always nil inside a Partition's Merge, which measures nothing.
 func (j *Job) Env() *Env { return j.env }
 
 // Printf appends a line-oriented message to the experiment's output
@@ -596,6 +595,9 @@ type Options struct {
 type unitOut struct {
 	val interface{}
 	err error
+	// asIs marks a failure of the partition's device (its Env or
+	// warm-up), which the merge reports without the unit prefix.
+	asIs bool
 }
 
 // partState is the shared state of one partitioned experiment's nodes.
@@ -846,63 +848,71 @@ func (s *Suite) runNode(n *node) {
 		}
 	}()
 	n.res = &ExptResult{Name: n.exp.Name, Title: n.exp.Title}
-	if err := s.ctx.Err(); err != nil {
-		// Canceled before this step started. Shard nodes record the
-		// cancellation per unit (they are absent from the report); the
-		// merge node will surface the lowest-index one.
-		if n.shard != nil {
-			for i := n.shard.lo; i < n.shard.hi; i++ {
-				n.shard.state.outs[i] = unitOut{err: err}
-			}
-			return
-		}
+	switch {
+	case s.ctx.Err() != nil:
+		// Canceled before this step started. A shard records the
+		// cancellation per unit; its merge node, canceled too, reports
+		// the context's error.
+		n.fail(s.ctx.Err(), false)
+	case n.failedDep != "":
+		n.res.Err = fmt.Errorf("skipped: dependency %s failed", n.failedDep)
+	case n.part != nil:
+		// Visible node of a partitioned experiment: merge. The merge
+		// touches no device; its span records only the (out-of-band)
+		// assembly time.
+		m := espan.Child("merge", "merge")
+		m.Begin()
+		s.runMerge(n)
+		m.End()
+	default:
+		s.runStep(n, espan)
+	}
+	j := n.job
+	if n.res.Err != nil || j == nil {
+		return
+	}
+	n.res.Text = j.buf.String()
+	n.res.Tables = j.tables
+	if j.result != nil {
+		s.mu.Lock()
+		s.results[n.exp.Name] = j.result
+		s.mu.Unlock()
+	}
+}
+
+// fail records a failure that happened before the node's step ran. A
+// visible node carries it on its result. A shard node records it on
+// every unit of its range instead: failing as a node would make its
+// (hidden, unreported) name the blame target and hide the root cause,
+// while the merge surfaces the lowest-index unit failure. asIs marks a
+// failure of the partition's device itself, which the merge reports
+// unwrapped, exactly as a monolithic experiment would.
+func (n *node) fail(err error, asIs bool) {
+	if n.shard == nil {
 		n.res.Err = err
 		return
 	}
-	if n.failedDep != "" {
-		n.res.Err = fmt.Errorf("skipped: dependency %s failed", n.failedDep)
-		return
+	for i := n.shard.lo; i < n.shard.hi; i++ {
+		n.shard.state.outs[i] = unitOut{err: err, asIs: asIs}
 	}
+}
+
+// runStep runs a Run or a shard node's units: the budget pre-flight,
+// the shared device's warm-up, then the measurement on a clone of it.
+func (s *Suite) runStep(n *node, espan *trace.Span) {
 	// Pre-flight budget check: once the meter has crossed the cap,
 	// steps that have not started fail instead of issuing more
-	// commands. Merge nodes are exempt — they issue no commands, and
-	// failing them here would mask their units' (budget) errors. Note
-	// that which step first observes a mid-run crossing can depend on
-	// scheduling; a budget-stopped report is deterministic on a serial
-	// chain (-jobs 1) and for caps that stop the run at its first
-	// charge, but not in general — the budget bounds device work, it is
-	// not part of the byte-stability contract.
-	if n.part == nil {
-		if be := s.overBudget(); be != nil {
-			if n.shard != nil {
-				for i := n.shard.lo; i < n.shard.hi; i++ {
-					n.shard.state.outs[i] = unitOut{err: be}
-				}
-				return
-			}
-			n.res.Err = be
-			return
-		}
-	}
-	j := n.job
-	// A merge node whose units already failed under a blown budget
-	// must not warm the device itself: if every shard failed its
-	// pre-flight before the env was ever acquired, the merge's warm-up
-	// would issue the full probe chain — exactly the device work the
-	// budget exists to bound. It skips straight to surfacing the unit
-	// failure. (When the units succeeded, the env is already warm and
-	// the warm-up below is a no-op, so the merge proceeds normally.)
-	skipWarm := false
-	if n.part != nil && s.overBudget() != nil {
-		for i := range n.part.outs {
-			if n.part.outs[i].err != nil {
-				skipWarm = true
-				break
-			}
-		}
+	// commands. Note that which step first observes a mid-run crossing
+	// can depend on scheduling; a budget-stopped report is
+	// deterministic on a serial chain (-jobs 1) and for caps that stop
+	// the run at its first charge, but not in general — the budget
+	// bounds device work, it is not part of the byte-stability contract.
+	if be := s.overBudget(); be != nil {
+		n.fail(be, false)
+		return
 	}
 	var env *Env
-	if dev := n.exp.Needs.Device; dev != "" && !skipWarm {
+	if dev := n.exp.Needs.Device; dev != "" {
 		var err error
 		env, err = s.env(dev)
 		if err == nil {
@@ -916,127 +926,80 @@ func (s *Suite) runNode(n *node) {
 			err = env.WarmStored(s.store, n.exp.Needs.Probe)
 		}
 		if err != nil {
-			if n.shard != nil {
-				// A shard node must not fail as a node: its name would
-				// become the blame target and hide the root cause
-				// (hidden nodes are absent from the report). Record
-				// the error on its units instead; the visible node
-				// re-attempts env/warm itself and reports the same
-				// error verbatim (both paths are deterministic — the
-				// probe error is cached, the env error recomputed).
-				for i := n.shard.lo; i < n.shard.hi; i++ {
-					n.shard.state.outs[i] = unitOut{err: err}
-				}
-				return
-			}
-			n.res.Err = err
+			n.fail(err, true)
 			return
 		}
 		// The warm-up just charged its probe chain (once per device —
 		// chargeEnv meters the delta since the last charge). A chain
-		// that itself blows the cap fails the experiment that warmed
-		// it. Merge nodes are exempt again: their units already carry
-		// the budget error, and the merge must surface it as a unit
-		// failure, deterministically.
-		if be := s.chargeEnv(env); be != nil && n.part == nil {
-			if n.shard != nil {
-				for i := n.shard.lo; i < n.shard.hi; i++ {
-					n.shard.state.outs[i] = unitOut{err: be}
-				}
-				return
-			}
-			n.res.Err = be
+		// that itself blows the cap fails the step that warmed it.
+		if be := s.chargeEnv(env); be != nil {
+			n.fail(be, false)
 			return
 		}
-		if j != nil {
-			j.env = env
-		}
 	}
-	switch {
-	case n.shard != nil:
-		// Hidden shard node: run its unit range. Unit failures are
-		// recorded per unit — not as node failures — so every other
-		// shard still runs and the visible node can surface the
-		// lowest-index failure deterministically.
+	if n.shard != nil {
 		s.runShard(n, env)
-	case n.exp.Part != nil:
-		// Visible node of a partitioned experiment: merge. The merge
-		// issues no commands; its span records only the (out-of-band)
-		// assembly time.
-		m := espan.Child("merge", "merge")
-		m.Begin()
-		s.runMerge(n)
-		m.End()
-	default:
-		if env != nil {
-			// Measurements never run on the shared Env: each
-			// experiment gets a pristine clone — fresh device state,
-			// probe cache primed read-only from the warmed parent —
-			// exactly like a partitioned experiment's units. This is
-			// what makes the report independent of the shared device's
-			// command history, and therefore byte-identical between a
-			// freshly probed and a store-warmed run: in both cases the
-			// experiment sees a just-powered-on device plus the same
-			// (pure-function) probe results.
-			me, err := env.Clone()
-			if err != nil {
-				n.res.Err = err
-				return
-			}
-			j.env = me
-		}
-		err := runProtected(n.exp.Run, j)
-		var be *BudgetError
-		if env != nil {
-			// Charge the measurement clone's activations whether or not
-			// the run succeeded — the device work happened either way.
-			// An experiment whose measurement crossed the cap is the
-			// offending one and fails with the typed error.
-			be = s.chargeActs(j.env.Commands().ACT)
-			// Kernel span: the measurement clone's command cost and
-			// batched-burst count — the cost of this experiment's own
-			// device work, as opposed to the shared warm-up.
-			if espan != nil {
-				k := espan.Child("kernel", "kernel")
-				k.AddCounters(j.env.Commands())
-				k.AddBatches(j.env.Host.Batches())
-			}
-			// The clone is fully accounted; recycle its device for the
-			// next experiment on this device to Clone cheaply.
-			j.env.Release()
-		}
-		if err != nil {
-			n.res.Err = err
-			return
-		}
-		if be != nil {
-			n.res.Err = be
-			return
-		}
-	}
-	if n.res.Err != nil || j == nil {
 		return
 	}
-	n.res.Text = j.buf.String()
-	n.res.Tables = j.tables
-	if j.result != nil {
-		s.mu.Lock()
-		s.results[n.exp.Name] = j.result
-		s.mu.Unlock()
+	j := n.job
+	cnt, batches, err := s.measure(env, func(me *Env) error {
+		j.env = me
+		return n.exp.Run(j)
+	})
+	if env != nil && espan != nil {
+		// Kernel span: the measurement clone's command cost and
+		// batched-burst count — the cost of this experiment's own
+		// device work, as opposed to the shared warm-up.
+		k := espan.Child("kernel", "kernel")
+		k.AddCounters(cnt)
+		k.AddBatches(batches)
 	}
+	n.res.Err = err
 }
 
-// runShard executes units [lo, hi) of a partitioned experiment. Each
-// unit gets its own seed (split by unit index, not shard index) and
-// writes to its own slot of the shared output slice, so the recorded
-// outcomes are independent of how units were grouped into shards.
+// measure is the suite's one measurement step: it runs fn on a
+// pristine clone of env (nil when the step has no device) — fresh
+// device state, probe cache primed read-only from the warmed parent.
+// Every Run and every partition unit measures this way, which is what
+// makes a result independent of the shared device's command history
+// (a freshly probed and a store-warmed run are byte-identical) and of
+// every other experiment and unit. The clone's activations are
+// charged whether or not fn failed — the device work happened either
+// way — and a charge that crosses the cap fails a successful fn with
+// the typed *BudgetError. The clone's command cost is returned for
+// the caller's kernel span, and its device recycled for the next
+// measurement on the same device.
+func (s *Suite) measure(env *Env, fn func(*Env) error) (host.Counters, int64, error) {
+	if env == nil {
+		return host.Counters{}, 0, protect(func() error { return fn(nil) })
+	}
+	c, err := env.Clone()
+	if err != nil {
+		return host.Counters{}, 0, err
+	}
+	defer c.Release()
+	err = protect(func() error { return fn(c) })
+	cnt := c.Commands()
+	if be := s.chargeActs(cnt.ACT); be != nil && err == nil {
+		err = be
+	}
+	return cnt, c.Host.Batches(), err
+}
+
+// runShard executes units [lo, hi) of a partitioned experiment, each
+// measured on its own clone of env. Each unit gets its own seed (split
+// by unit index, not shard index) and writes to its own slot of the
+// shared output slice, so the recorded outcomes are independent of how
+// units were grouped into shards. Unit failures are recorded per unit
+// — not as node failures — so every other shard still runs and the
+// merge can surface the lowest-index failure deterministically.
 func (s *Suite) runShard(n *node, env *Env) {
 	sr := n.shard
 	espan := s.exptSpans[n.exp.Name]
 	base := rng.Split(s.seed, "expt:"+n.exp.Name)
 	for i := sr.lo; i < sr.hi; i++ {
 		// Units left after a budget crossing fail without running —
-		// the per-unit counterpart of runNode's pre-flight check.
+		// the per-unit counterpart of runStep's pre-flight check.
 		if be := s.overBudget(); be != nil {
 			sr.state.outs[i] = unitOut{err: be}
 			continue
@@ -1046,7 +1009,6 @@ func (s *Suite) runShard(n *node, env *Env) {
 			unit: i,
 			of:   n.exp.Part.Units,
 			seed: rng.SplitN(base, "unit", i),
-			env:  env,
 		}
 		// Unit spans are keyed by unit index — never by shard — so the
 		// tree shape is identical for any -shards grouping. Fixed-width
@@ -1057,15 +1019,14 @@ func (s *Suite) runShard(n *node, env *Env) {
 			us.SetAttr("unit", i)
 			us.Begin()
 		}
-		val, err := runUnitProtected(n.exp.Part.Unit, sj)
-		// Charge the unit's measurement clones unconditionally; a unit
-		// whose measurement crossed the cap fails with the typed error.
-		if be := s.chargeActs(sj.acts()); err == nil && be != nil {
-			val, err = nil, error(be)
-		}
+		var val interface{}
+		cnt, batches, err := s.measure(env, func(c *Env) (err error) {
+			sj.env = c
+			val, err = n.exp.Part.Unit(sj)
+			return err
+		})
 		if us != nil {
 			k := us.Child("kernel", "kernel")
-			cnt, batches := sj.cost()
 			k.AddCounters(cnt)
 			k.AddBatches(batches)
 			if err != nil {
@@ -1073,9 +1034,6 @@ func (s *Suite) runShard(n *node, env *Env) {
 			}
 			us.End()
 		}
-		// All clones are charged; return their devices to the pool so
-		// the next unit reuses them instead of reallocating.
-		sj.release()
 		sr.state.outs[i] = unitOut{val: val, err: err}
 	}
 }
@@ -1085,42 +1043,33 @@ func (s *Suite) runShard(n *node, env *Env) {
 // hand the unit results to Merge in unit order.
 func (s *Suite) runMerge(n *node) {
 	outs := n.part.outs
-	for i := range outs {
-		if outs[i].err != nil {
+	for i, o := range outs {
+		if o.err == nil {
+			continue
+		}
+		n.res.Err = o.err
+		if !o.asIs {
 			// %w keeps typed unit failures (context errors, budget
 			// errors) visible to errors.As without changing the message.
-			n.res.Err = fmt.Errorf("unit %d/%d: %w", i, len(outs), outs[i].err)
-			return
+			n.res.Err = fmt.Errorf("unit %d/%d: %w", i, len(outs), o.err)
 		}
+		return
 	}
 	vals := make([]interface{}, len(outs))
 	for i := range outs {
 		vals[i] = outs[i].val
 	}
-	if err := runProtected(func(j *Job) error { return n.exp.Part.Merge(j, vals) }, n.job); err != nil {
-		n.res.Err = err
-	}
+	n.res.Err = protect(func() error { return n.exp.Part.Merge(n.job, vals) })
 }
 
-// runProtected invokes an experiment's Run, converting a panic into an
-// error.
-func runProtected(run func(*Job) error, j *Job) (err error) {
+// protect invokes fn, converting a panic into an error.
+func protect(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return run(j)
-}
-
-// runUnitProtected invokes one unit, converting a panic into an error.
-func runUnitProtected(unit func(*ShardJob) (interface{}, error), sj *ShardJob) (val interface{}, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			val, err = nil, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return unit(sj)
+	return fn()
 }
 
 // plan selects experiments, expands After closures, and builds the

@@ -133,11 +133,7 @@ func TestTraceKernelCostAttribution(t *testing.T) {
 		Part: &Partition{
 			Units: 2,
 			Unit: func(sj *ShardJob) (interface{}, error) {
-				c, err := sj.CloneEnv()
-				if err != nil {
-					return nil, err
-				}
-				if err := c.Host.FillRow(0, sj.Unit(), 0xA5); err != nil {
+				if err := sj.Env().Host.FillRow(0, sj.Unit(), 0xA5); err != nil {
 					return nil, err
 				}
 				return sj.Unit(), nil

@@ -88,24 +88,19 @@ const maxReportBody = 64 << 20
 type Client struct {
 	// Base is the worker's base URL, e.g. "http://node1:8077".
 	Base string
-	// HTTP overrides the transport; nil uses a shared default client
-	// with a bounded per-request timeout (streams are never used here,
-	// so a hung worker surfaces as an error instead of a stuck poll).
-	HTTP *http.Client
 }
 
-var defaultClient = &http.Client{Timeout: 60 * time.Second}
-
-func (c *Client) client() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return defaultClient
-}
+// httpClient is shared by every Client. Its per-request timeout is
+// bounded (streams are never used here, so a hung worker surfaces as
+// an error instead of a stuck poll).
+var httpClient = &http.Client{Timeout: 60 * time.Second}
 
 // do round-trips one JSON request. Non-2xx responses come back as
 // *HTTPError with the body's error message; 2xx bodies decode into out
-// when non-nil. hdr entries (may be nil) are set on the request.
+// when non-nil, bounded by maxReportBody (a finished run's status
+// embeds its report) so a broken worker cannot make the coordinator
+// buffer without limit. hdr entries (may be nil) are set on the
+// request.
 func (c *Client) do(ctx context.Context, method, path string, hdr map[string]string, body, out interface{}) error {
 	var rd io.Reader
 	if body != nil {
@@ -125,7 +120,7 @@ func (c *Client) do(ctx context.Context, method, path string, hdr map[string]str
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
-	resp, err := c.client().Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -137,7 +132,7 @@ func (c *Client) do(ctx context.Context, method, path string, hdr map[string]str
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxErrorBody))
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.NewDecoder(io.LimitReader(resp.Body, maxReportBody)).Decode(out)
 }
 
 func newHTTPError(resp *http.Response) *HTTPError {
@@ -224,7 +219,7 @@ func (c *Client) getVerbatim(ctx context.Context, path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.client().Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -61,6 +62,42 @@ func TestStartAndReport(t *testing.T) {
 	}
 	if !bytes.Equal(got, report) {
 		t.Fatalf("Report returned %q, want the exact bytes %q", got, report)
+	}
+}
+
+// TestStartBoundsBody: a broken worker that answers POST /runs with
+// 200 and a JSON string that never ends must not make the coordinator
+// buffer it without limit. Start fails once maxReportBody bytes are
+// read, and the worker gets to write little more than that before the
+// closed connection stops it.
+func TestStartBoundsBody(t *testing.T) {
+	t.Parallel()
+	// The stub stops on its own at twice the bound, so an unbounded
+	// client fails this test instead of buffering until its timeout.
+	const stop = 2 * maxReportBody
+	const slack = maxReportBody / 4 // socket and bufio buffering between the two
+	written := make(chan int64, 1)
+	c := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		var n int64
+		defer func() { written <- n }()
+		m, err := io.WriteString(w, `{"id":"`)
+		n += int64(m)
+		chunk := bytes.Repeat([]byte("a"), 64<<10)
+		for err == nil && n < stop {
+			m, err = w.Write(chunk)
+			n += int64(m)
+		}
+	})
+	if _, err := c.Start(context.Background(), Request{}); err == nil {
+		t.Fatal("Start decoded an endless body without error")
+	}
+	select {
+	case n := <-written:
+		if n > maxReportBody+slack {
+			t.Fatalf("worker wrote %d bytes, want at most maxReportBody (%d) plus buffering", n, maxReportBody)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker still writing 30s after Start failed")
 	}
 }
 

@@ -53,14 +53,6 @@ type FederationOptions struct {
 	// on expiry the member is canceled on its worker and re-dispatched
 	// elsewhere ("stolen"). 0 disables the timeout.
 	MemberTimeout time.Duration
-	// Poll is the remote-run polling interval (default 100ms).
-	Poll time.Duration
-	// Cooldown is how long a faulted worker sits out of placement
-	// before being offered members again (default 5s).
-	Cooldown time.Duration
-	// Client overrides the HTTP transport shared by all worker
-	// clients; nil uses the dispatch package default.
-	Client *http.Client
 }
 
 // fedWorker is one worker node's dispatcher-side state.
@@ -78,6 +70,11 @@ type fedWorker struct {
 // expt.Executor.
 type Federator struct {
 	opts FederationOptions
+
+	// poll is the remote-run polling interval; cooldown is how long a
+	// faulted worker sits out of placement before being offered
+	// members again.
+	poll, cooldown time.Duration
 
 	// local runs the members no worker can take.
 	local *expt.Local
@@ -110,14 +107,10 @@ type Federator struct {
 // NewFederator builds a dispatcher over the given worker base URLs,
 // with local as the fallback for members no worker can take.
 func NewFederator(opts FederationOptions, local *expt.Local) *Federator {
-	if opts.Poll <= 0 {
-		opts.Poll = 100 * time.Millisecond
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = 5 * time.Second
-	}
 	f := &Federator{
 		opts:          opts,
+		poll:          100 * time.Millisecond,
+		cooldown:      5 * time.Second,
 		local:         local,
 		leaveOnCancel: func() bool { return false },
 		pick:          pickMostFree,
@@ -129,7 +122,7 @@ func NewFederator(opts FederationOptions, local *expt.Local) *Federator {
 		}
 		f.workers = append(f.workers, &fedWorker{
 			url:    url,
-			client: &dispatch.Client{Base: url, HTTP: opts.Client},
+			client: &dispatch.Client{Base: url},
 		})
 	}
 	return f
@@ -290,7 +283,7 @@ func (f *Federator) done(w *fedWorker) {
 // markDown benches a faulted worker for the cooldown window.
 func (f *Federator) markDown(w *fedWorker) {
 	f.mu.Lock()
-	w.downUntil = time.Now().Add(f.opts.Cooldown)
+	w.downUntil = time.Now().Add(f.cooldown)
 	f.mu.Unlock()
 }
 
@@ -344,7 +337,7 @@ func (f *Federator) runOn(ctx context.Context, w *fedWorker, rs *expt.ResolvedSp
 			wctx, cancel = context.WithTimeout(ctx, f.opts.MemberTimeout)
 			defer cancel()
 		}
-		st, err = w.client.Wait(wctx, id, f.opts.Poll)
+		st, err = w.client.Wait(wctx, id, f.poll)
 		if err != nil {
 			switch {
 			case ctx.Err() != nil:

@@ -33,8 +33,8 @@ func newCoordinator(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
 	if srv.mgr.fed != nil {
-		srv.mgr.fed.opts.Poll = 2 * time.Millisecond
-		srv.mgr.fed.opts.Cooldown = time.Minute
+		srv.mgr.fed.poll = 2 * time.Millisecond
+		srv.mgr.fed.cooldown = time.Minute
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { drain(t, srv, ts) })
