@@ -15,6 +15,9 @@
 #                  if BENCH_serve.json records 5xx errors or zero
 #                  coalesced requests, or if tracing the cold suite
 #                  costs more than 5% wall time
+#   make perfbench-smoke - run every BENCHMARK.json workload for a 5 s
+#                  window (perfbench/run.sh) and fail unless each result
+#                  line reports correct outputs and no failed operations
 #   make bench-profile - capture a CPU profile of a warm suite run
 #                  (PROFILE_OUT, default bench.prof) for inspection
 #                  with `go tool pprof`
@@ -45,7 +48,7 @@ SUITE_FLAGS ?= -run all
 SERVE_FLAGS ?=
 STORE_DIR ?= dramscope-store
 
-.PHONY: build test race short bench bench-snapshot bench-check bench-profile load suite serve vet golden campaign fleet clean-store
+.PHONY: build test race short bench bench-snapshot bench-check perfbench-smoke bench-profile load suite serve vet golden campaign fleet clean-store
 
 # The golden campaign population (mirrored by expt.GoldenCampaign and
 # asserted by TestGoldenCampaignReport): one representative device per
@@ -80,6 +83,18 @@ bench-snapshot:
 
 bench-check:
 	$(GO) run ./cmd/benchsnap -check
+
+# The end-to-end benchmark's correctness gate, in miniature: each
+# workload's short run must report every output correct and no failed
+# operation, the same verdict a full benchmark run has to reach.
+perfbench-smoke:
+	set -e; for w in $$(jq -r '.workloads[].name' BENCHMARK.json); do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0); \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$w: $$line"; \
+		printf '%s\n' "$$line" | jq -e -n 'input | .correct == true and .failed == 0' > /dev/null || \
+			{ echo "perfbench-smoke: $$w reported incorrect outputs or failed operations" >&2; exit 1; }; \
+	done
 
 # A CPU profile of the warm measurement path: populate a throwaway
 # store with one cold suite run, then profile the warm run that hits

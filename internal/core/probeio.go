@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // This file defines the stable wire format for the probe-chain result
@@ -123,9 +124,10 @@ func EncodeProbeState(ps *ProbeState) ([]byte, error) {
 }
 
 // DecodeProbeState parses and validates a serialized probe state.
-// Any structural problem — bad JSON, unknown fields, a version other
-// than ProbeSchemaVersion, or data that fails Validate — is an error;
-// callers treat it as a cache miss and re-probe.
+// Any structural problem — bad JSON, unknown fields, bytes after the
+// state, a version other than ProbeSchemaVersion, or data that fails
+// Validate — is an error; callers treat it as a cache miss and
+// re-probe.
 func DecodeProbeState(data []byte) (*ProbeState, error) {
 	var w probeStateWire
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -136,6 +138,9 @@ func DecodeProbeState(data []byte) (*ProbeState, error) {
 	if err := dec.Decode(&w); err != nil {
 		return nil, fmt.Errorf("core: decode probe state: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("core: decode probe state: data after the state")
+	}
 	if w.Version != ProbeSchemaVersion {
 		return nil, fmt.Errorf("core: probe state schema v%d, want v%d", w.Version, ProbeSchemaVersion)
 	}
@@ -145,6 +150,9 @@ func DecodeProbeState(data []byte) (*ProbeState, error) {
 	}
 	if w.Subarrays != nil {
 		s := w.Subarrays
+		if len(s.RegionEdges) == 0 {
+			s.RegionEdges = nil // as the probe leaves it, and as it re-encodes
+		}
 		ps.Subarrays = &SubarrayLayout{
 			ScannedRows:         s.ScannedRows,
 			Boundaries:          s.Boundaries,
@@ -208,33 +216,46 @@ func (ps *ProbeState) Validate() error {
 		if len(s.Boundaries) == 0 {
 			return fmt.Errorf("subarray layout has no boundaries")
 		}
+		// A boundary p separates rows p and p+1, so both are scanned.
 		prev := -1
 		for _, b := range s.Boundaries {
-			if b <= prev || b >= s.ScannedRows {
+			if b <= prev || b >= s.ScannedRows-1 {
 				return fmt.Errorf("subarray boundaries %v not strictly increasing within %d scanned rows",
 					s.Boundaries, s.ScannedRows)
 			}
 			prev = b
 		}
+		// One height per boundary (the gap to the previous one, from
+		// row -1), plus at most one trailing height that closes the
+		// scan range.
+		if nb := len(s.Boundaries); len(s.Heights) != nb && len(s.Heights) != nb+1 {
+			return fmt.Errorf("%d subarray heights for %d boundaries", len(s.Heights), nb)
+		}
+		prev = -1
+		for i, h := range s.Heights {
+			want := s.ScannedRows - 1 - prev
+			if i < len(s.Boundaries) {
+				want = s.Boundaries[i] - prev
+				prev = s.Boundaries[i]
+			}
+			if h != want {
+				return fmt.Errorf("subarray height %d is %d, boundaries %v give %d", i, h, s.Boundaries, want)
+			}
+		}
 		isBoundary := make(map[int]bool, len(s.Boundaries))
 		for _, b := range s.Boundaries {
 			isBoundary[b] = true
 		}
+		prev = -1
 		for _, e := range s.RegionEdges {
-			if !isBoundary[e] {
-				return fmt.Errorf("region edge %d is not a boundary", e)
+			if e <= prev || !isBoundary[e] {
+				return fmt.Errorf("region edges %v are not strictly increasing boundaries", s.RegionEdges)
 			}
+			prev = e
 		}
-		if len(s.Heights) == 0 {
-			return fmt.Errorf("subarray layout has no heights")
-		}
-		for _, h := range s.Heights {
-			if h <= 0 {
-				return fmt.Errorf("non-positive subarray height %d", h)
-			}
-		}
-		if s.EdgeRegionSubarrays < 0 {
-			return fmt.Errorf("negative edge-region size %d", s.EdgeRegionSubarrays)
+		if s.EdgeRegionSubarrays < 0 || s.EdgeRegionSubarrays > len(s.Boundaries)+1 {
+			return fmt.Errorf("edge region of %d subarrays, layout has %d",
+				s.EdgeRegionSubarrays, len(s.Boundaries)+1)
 		}
 	}
 	if c := ps.Cells; c != nil {

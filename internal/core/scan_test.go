@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"dramscope/internal/chip"
@@ -52,11 +54,141 @@ func TestCopyClassifyZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkSubarrayScan times the cold RowCopy boundary scan: each
-// iteration runs one full-bank ProbeSubarrays on a freshly built
+// probeSubarraysExhaustive is the paper's boundary scan (§IV-C): it
+// classifies every physically adjacent row pair in order. It is the
+// reference the search in ProbeSubarrays is held to.
+func probeSubarraysExhaustive(h *host.Host, bank int, order *RowOrder, scan SubarrayScan) (*SubarrayLayout, error) {
+	s := newLayoutScan(h, bank, order, scan)
+	for p := 0; p+1 < s.out.ScannedRows; p++ {
+		cls, pol, err := s.classify(p, p+1)
+		if err != nil {
+			return nil, err
+		}
+		s.record(p, cls, pol)
+	}
+	return s.finish()
+}
+
+// topoBoundaries derives the boundaries and region edges of the first
+// n physical positions under order from the ground-truth copy relation
+// of each adjacent pair: a full copy is no boundary, no copy is a
+// region edge, anything else is a plain boundary.
+func topoBoundaries(tp *topo.Topology, order *RowOrder, n int) (boundaries, edges []int) {
+	for p := 0; p+1 < n; p++ {
+		a, _ := tp.MapRow(order.RowAt(p))
+		b, _ := tp.MapRow(order.RowAt(p + 1))
+		switch tp.CopyRelationOf(a, b) {
+		case topo.CopyFull:
+		case topo.CopyNone:
+			boundaries = append(boundaries, p)
+			edges = append(edges, p)
+		default:
+			boundaries = append(boundaries, p)
+		}
+	}
+	return boundaries, edges
+}
+
+// The boundary search must recover exactly the layout of the exhaustive
+// walk, on every catalog device over several seeds, and both must match
+// the ground truth. Each scan runs on its own fresh chip after its own
+// row-order probe. On the figure device the cell-polarity and swizzle
+// probes then run on both chips and must agree: the search issues far
+// fewer commands first, and the later probes must not depend on that
+// history. -short runs a sample.
+func TestSubarraySearchMatchesReference(t *testing.T) {
+	t.Parallel()
+	const figDevice = "MfrA-DDR4-x4-2021"
+	profiles, seeds := topo.Catalog(), []uint64{1, 5, 7}
+	if testing.Short() {
+		profiles, seeds = topo.Representative(), seeds[:1]
+	}
+	for _, prof := range profiles {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("%s/seed=%d", prof.Name, seed), func(t *testing.T) {
+				t.Parallel()
+				// A bank survey scans one pattern block plus slack, so its
+				// scan ends inside a subarray.
+				bounded := SubarrayScan{MaxRows: 64, Cols: DefaultSubarrayScan.Cols}
+				for _, height := range prof.Block {
+					bounded.MaxRows += height
+				}
+				type probed struct {
+					lay, bankLay *SubarrayLayout
+					pol          *CellPolarity
+					swz          *SwizzleMap
+					order        *RowOrder
+				}
+				run := func(scan func(*host.Host, int, *RowOrder, SubarrayScan) (*SubarrayLayout, error)) probed {
+					c := chip.MustNew(prof, seed)
+					defer c.Free()
+					h := host.New(c)
+					order, err := ProbeRowOrder(h, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lay, err := scan(h, 0, order, DefaultSubarrayScan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out := probed{lay: lay, order: order}
+					if out.bankLay, err = scan(h, 1, order, bounded); err != nil {
+						t.Fatal(err)
+					}
+					if prof.Name != figDevice {
+						return out
+					}
+					if out.pol, err = ProbeCellPolarity(h, 0, lay); err != nil {
+						t.Fatal(err)
+					}
+					if out.swz, err = ProbeSwizzle(h, 0, order, lay, out.pol); err != nil {
+						t.Fatal(err)
+					}
+					return out
+				}
+				search, ref := run(ProbeSubarrays), run(probeSubarraysExhaustive)
+				if search.order.LUT != ref.order.LUT {
+					t.Fatalf("row order differs between fresh chips: %v vs %v", search.order.LUT, ref.order.LUT)
+				}
+				if !reflect.DeepEqual(search.lay, ref.lay) {
+					t.Fatalf("search layout differs from the exhaustive walk:\nsearch: %+v\nwalk:   %+v", search.lay, ref.lay)
+				}
+				if !reflect.DeepEqual(search.bankLay, ref.bankLay) {
+					t.Fatalf("bounded search layout differs from the exhaustive walk:\nsearch: %+v\nwalk:   %+v",
+						search.bankLay, ref.bankLay)
+				}
+				if err := layoutRules(search.lay); err != nil {
+					t.Fatal(err)
+				}
+				if err := (&ProbeState{Order: search.order, Subarrays: search.lay}).Validate(); err != nil {
+					t.Fatalf("probed layout fails validation: %v", err)
+				}
+				tp := prof.MustBuild()
+				for _, lay := range []*SubarrayLayout{ref.lay, ref.bankLay} {
+					b, e := topoBoundaries(tp, ref.order, lay.ScannedRows)
+					if !reflect.DeepEqual(lay.Boundaries, b) || !reflect.DeepEqual(lay.RegionEdges, e) {
+						t.Fatalf("%d-row scan: boundaries %v, region edges %v; ground truth %v, %v",
+							lay.ScannedRows, lay.Boundaries, lay.RegionEdges, b, e)
+					}
+				}
+				if !reflect.DeepEqual(search.pol, ref.pol) {
+					t.Fatalf("cell polarity after the search %+v, after the walk %+v", search.pol, ref.pol)
+				}
+				if !reflect.DeepEqual(search.swz, ref.swz) {
+					t.Fatalf("swizzle after the search %+v, after the walk %+v", search.swz, ref.swz)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSubarrayScan times the cold boundary search: each iteration
+// runs one full-bank ProbeSubarrays on a freshly built
 // MfrB-DDR4-x8-2017 chip (32,768 rows). Building the chip and the
-// row-order probe that precedes the scan are untimed; the chip is freed
-// afterwards, as a suite frees its devices.
+// row-order probe that precedes the search are untimed; the chip is
+// freed afterwards, as a suite frees its devices. ns/row is the probe's
+// wall time over the rows it covers, not over the rows it classifies:
+// the search classifies about 21 pairs per subarray of some 800 rows.
 func BenchmarkSubarrayScan(b *testing.B) {
 	prof, ok := topo.ByName("MfrB-DDR4-x8-2017")
 	if !ok {

@@ -45,7 +45,8 @@ type SubarrayLayout struct {
 
 // SubarrayScan configures the probe.
 type SubarrayScan struct {
-	// MaxRows bounds the linear boundary scan (0 = scan everything).
+	// MaxRows bounds the physical-order prefix the boundary search
+	// covers (0 = the whole bank).
 	MaxRows int
 	// Cols are the burst columns sampled per RowCopy classification.
 	Cols []int
@@ -69,8 +70,8 @@ const (
 )
 
 // copyClassifier runs RowCopy classification attempts with reusable
-// fill/readback buffers, so the boundary scan — tens of thousands of
-// classifications — issues nothing but command batches.
+// fill/readback buffers, so the boundary search — hundreds of
+// classifications per bank — issues nothing but command batches.
 type copyClassifier struct {
 	h    *host.Host
 	bank int
@@ -161,11 +162,78 @@ func coverage(changed, total int) copyClass {
 	}
 }
 
-// ProbeSubarrays runs the RowCopy boundary scan (§IV-C): walking rows
-// in inferred physical order, a copy onto the next row moves every
-// column inside a subarray but only the shared-stripe half across a
-// boundary.
+// ProbeSubarrays finds the subarray boundaries with RowCopy (§IV-C):
+// inside a subarray a copy moves every column, between adjacent
+// subarrays it moves only the shared-stripe half, and across a region
+// edge it moves nothing. Because a copy is full between any two rows of
+// one subarray and never between two subarrays, the probe searches
+// instead of walking every adjacent pair as the paper does: from each
+// subarray's first row p it gallops (p+1, p+2, p+4, ...) to the first
+// row that does not copy fully, bisects back to the last row b that
+// does, and classifies the adjacent pair (b, b+1) to record the
+// boundary, any region edge and the copy's polarity. That is about
+// 2·log2(height)+1 classifications per subarray instead of one per row.
+// The search reads no ground truth and assumes no minimum height.
 func ProbeSubarrays(h *host.Host, bank int, order *RowOrder, scan SubarrayScan) (*SubarrayLayout, error) {
+	s := newLayoutScan(h, bank, order, scan)
+	n := s.out.ScannedRows
+	for p := 0; p+1 < n; {
+		// Invariant: (p, lo) copies fully; (p, hi) does not, or hi == n.
+		lo, hi := p, n
+		for step := 1; p+step < n; step *= 2 { // gallop
+			cls, _, err := s.classify(p, p+step)
+			if err != nil {
+				return nil, err
+			}
+			if cls != copyFull {
+				hi = p + step
+				break
+			}
+			lo = p + step
+		}
+		for hi-lo > 1 { // bisect
+			mid := lo + (hi-lo)/2
+			cls, _, err := s.classify(p, mid)
+			if err != nil {
+				return nil, err
+			}
+			if cls == copyFull {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		if lo+1 >= n {
+			break // the scan range ends inside this subarray
+		}
+		cls, pol, err := s.classify(lo, lo+1)
+		if err != nil {
+			return nil, err
+		}
+		if cls == copyFull {
+			return nil, fmt.Errorf("core: rowcopy scan: physical row %d copies fully from row %d but not from row %d",
+				lo+1, lo, p)
+		}
+		s.record(lo, cls, pol)
+		p = lo + 1
+	}
+	return s.finish()
+}
+
+// layoutScan holds the state of one subarray probe: the classifier,
+// the layout being built, and the polarity votes of the cross-boundary
+// copies. The probe and the tests' exhaustive reference walk share it,
+// so both record boundaries and finish the layout the same way.
+type layoutScan struct {
+	h     *host.Host
+	order *RowOrder
+	cc    *copyClassifier
+	out   *SubarrayLayout
+
+	invertedVotes, totalVotes int
+}
+
+func newLayoutScan(h *host.Host, bank int, order *RowOrder, scan SubarrayScan) *layoutScan {
 	n := h.Rows()
 	if scan.MaxRows > 0 && scan.MaxRows < n {
 		n = scan.MaxRows
@@ -173,37 +241,47 @@ func ProbeSubarrays(h *host.Host, bank int, order *RowOrder, scan SubarrayScan) 
 	if len(scan.Cols) == 0 {
 		scan.Cols = DefaultSubarrayScan.Cols
 	}
-
-	out := &SubarrayLayout{ScannedRows: n, OpenBitline: true}
-	sawBoundary := false
-	invertedVotes, totalVotes := 0, 0
-	cc := newCopyClassifier(h, bank, scan.Cols)
-	for p := 0; p+1 < n; p++ {
-		src, dst := order.RowAt(p), order.RowAt(p+1)
-		cls, pol, err := cc.classify(src, dst)
-		if err != nil {
-			return nil, fmt.Errorf("core: rowcopy scan at physical row %d: %w", p, err)
-		}
-		switch cls {
-		case copyFull:
-			// Same subarray.
-		case copyHalf:
-			out.Boundaries = append(out.Boundaries, p)
-			sawBoundary = true
-			totalVotes++
-			invertedVotes += pol
-		default:
-			// No shared bitlines between physically consecutive rows:
-			// the dummy-bitline gap between edge regions.
-			out.Boundaries = append(out.Boundaries, p)
-			out.RegionEdges = append(out.RegionEdges, p)
-			sawBoundary = true
-		}
+	return &layoutScan{
+		h: h, order: order,
+		cc:  newCopyClassifier(h, bank, scan.Cols),
+		out: &SubarrayLayout{ScannedRows: n, OpenBitline: true},
 	}
-	if !sawBoundary {
+}
+
+// classify RowCopies physical position a onto physical position b.
+func (s *layoutScan) classify(a, b int) (copyClass, int, error) {
+	cls, pol, err := s.cc.classify(s.order.RowAt(a), s.order.RowAt(b))
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: rowcopy scan at physical rows %d->%d: %w", a, b, err)
+	}
+	return cls, pol, nil
+}
+
+// record files the classification of the adjacent pair (p, p+1).
+func (s *layoutScan) record(p int, cls copyClass, pol int) {
+	switch cls {
+	case copyFull:
+		// Same subarray.
+	case copyHalf:
+		s.out.Boundaries = append(s.out.Boundaries, p)
+		s.totalVotes++
+		s.invertedVotes += pol
+	default:
+		// No shared bitlines between physically consecutive rows:
+		// the dummy-bitline gap between edge regions.
+		s.out.Boundaries = append(s.out.Boundaries, p)
+		s.out.RegionEdges = append(s.out.RegionEdges, p)
+	}
+}
+
+// finish derives the heights and the edge pairing from the recorded
+// boundaries.
+func (s *layoutScan) finish() (*SubarrayLayout, error) {
+	out, n, order := s.out, s.out.ScannedRows, s.order
+	if len(out.Boundaries) == 0 {
 		return nil, fmt.Errorf("core: no subarray boundary within %d rows; increase scan range", n)
 	}
-	out.InvertedCopy = invertedVotes*2 > totalVotes
+	out.InvertedCopy = s.invertedVotes*2 > s.totalVotes
 
 	// Heights between consecutive boundaries; the leading subarray
 	// starts at physical row 0.
@@ -215,7 +293,7 @@ func ProbeSubarrays(h *host.Host, bank int, order *RowOrder, scan SubarrayScan) 
 	// When the scan reached the end of the bank, the final subarray
 	// has no trailing boundary; close it so the composition is
 	// complete.
-	if n == h.Rows() && prev < n-1 {
+	if n == s.h.Rows() && prev < n-1 {
 		out.Heights = append(out.Heights, n-1-prev)
 	}
 
@@ -230,7 +308,7 @@ func ProbeSubarrays(h *host.Host, bank int, order *RowOrder, scan SubarrayScan) 
 	for k := 2; k < len(starts); k++ {
 		src := order.RowAt(0)
 		dst := order.RowAt(starts[k])
-		cls, _, err := cc.classify(src, dst)
+		cls, _, err := s.cc.classify(src, dst)
 		if err != nil {
 			return nil, err
 		}
