@@ -3,6 +3,10 @@
 #   make test    - full tier-1 verify (build + vet + all tests)
 #   make race    - full test suite under the race detector
 #   make short   - fast unit tests only (skips catalog-scale probes)
+#   make reach   - fail on any function in a non-test internal/ file
+#                  that no cmd/, examples/ or perfbench binary links,
+#                  unless scripts/reach.allow lists it with the test
+#                  that calls it (and on a stale allowlist line)
 #   make bench   - regenerate every paper artifact as benchmarks
 #   make bench-snapshot - re-measure and commit the perf snapshots
 #                  (BENCH_suite.json / BENCH_campaign.json: ns/ACT,
@@ -13,8 +17,9 @@
 #                  ns/ACT regressed more than 1.5x vs the committed
 #                  snapshot (GOMAXPROCS pinned to 1 on both sides),
 #                  if BENCH_serve.json records 5xx errors or zero
-#                  coalesced requests, or if tracing the cold suite
-#                  costs more than 5% wall time
+#                  coalesced requests, or if the median of five traced
+#                  cold suites is more than 5% slower than the median
+#                  of five untraced ones (alternating pairs)
 #   make perfbench-smoke - run every BENCHMARK.json workload for a 5 s
 #                  window (perfbench/run.sh) and fail unless each result
 #                  line reports correct outputs and no failed operations
@@ -48,7 +53,7 @@ SUITE_FLAGS ?= -run all
 SERVE_FLAGS ?=
 STORE_DIR ?= dramscope-store
 
-.PHONY: build test race short bench bench-snapshot bench-check perfbench-smoke bench-profile load suite serve vet golden campaign fleet clean-store
+.PHONY: build test race short reach bench bench-snapshot bench-check perfbench-smoke bench-profile load suite serve vet golden campaign fleet clean-store
 
 # The golden campaign population (mirrored by expt.GoldenCampaign and
 # asserted by TestGoldenCampaignReport): one representative device per
@@ -69,6 +74,11 @@ race:
 
 short:
 	$(GO) test -short ./...
+
+# The linker's view of dead code: build every binary without inlining
+# and compare its symbols with the functions internal/ declares.
+reach:
+	bash scripts/reach.sh
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

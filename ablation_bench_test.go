@@ -7,7 +7,6 @@ import (
 	"dramscope/internal/core"
 	"dramscope/internal/expt"
 	"dramscope/internal/host"
-	"dramscope/internal/sim"
 	"dramscope/internal/topo"
 )
 
@@ -15,11 +14,11 @@ import (
 // docs call out: the
 // O(1) hammer pulse path, the stress-floor scan skip that keeps
 // incidental activations cheap, and the end-to-end cost of the blind
-// discovery pipeline.
+// probe chain.
 
 // BenchmarkAblationPulseVsExplicit quantifies the hammer fast path:
-// the same 100K-activation train via Pulse and via the explicit
-// per-command program loop (semantically identical; chip tests assert
+// the same 100K-activation train via Pulse and via an explicit
+// per-command ACT/PRE loop (semantically identical; chip tests assert
 // equivalence).
 func BenchmarkAblationPulseVsExplicit(b *testing.B) {
 	b.Run("pulse", func(b *testing.B) {
@@ -32,14 +31,14 @@ func BenchmarkAblationPulseVsExplicit(b *testing.B) {
 	})
 	b.Run("explicit", func(b *testing.B) {
 		h := host.New(chip.MustNew(topo.Small(), 1))
-		tm := h.Target().Timing()
-		tras := int(tm.TRAS / tm.TCK)
-		trp := int(tm.TRP / tm.TCK)
-		body := host.NewProgram().Act(trp+1, 0, 40).Pre(tras, 0)
-		prog := host.NewProgram().Loop(100_000, body)
 		for i := 0; i < b.N; i++ {
-			if _, err := h.Run(prog); err != nil {
-				b.Fatal(err)
+			for n := 0; n < 100_000; n++ {
+				if err := h.Activate(0, 40); err != nil {
+					b.Fatal(err)
+				}
+				if err := h.Precharge(0); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
@@ -60,49 +59,19 @@ func BenchmarkAblationScanThroughput(b *testing.B) {
 }
 
 // BenchmarkDiscoverPipeline is the end-to-end blind discovery cost on
-// the small test device.
+// the small test device: expt.Env's probe chain (row order, subarrays,
+// cell polarity, swizzle) from a fresh chip.
 func BenchmarkDiscoverPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := host.New(chip.MustNew(topo.Small(), 11))
-		m, err := core.Discover(h, 0)
+		e, err := expt.NewEnv(topo.Small(), 11)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if m.Swizzle.MATWidthBits != 512 {
+		if err := e.Warm(expt.ProbeSwizzle); err != nil {
+			b.Fatal(err)
+		}
+		if sm, _ := e.Swizzle(); sm.MATWidthBits != 512 {
 			b.Fatal("pipeline result wrong")
-		}
-	}
-}
-
-// BenchmarkPressOnTimeSweep regenerates the RowPress on-time ablation
-// curve (extension of §II-D's mechanism description).
-func BenchmarkPressOnTimeSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := host.New(chip.MustNew(topo.Small(), 11))
-		a := &core.AIB{H: h, Bank: 0, Order: &core.RowOrder{LUT: [4]int{0, 1, 3, 2}}}
-		pts, err := core.PressOnTimeSweep(a, []int{100, 103, 106, 109}, 2048,
-			[]sim.Time{1 * sim.Microsecond, 8 * sim.Microsecond, 64 * sim.Microsecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[len(pts)-1].BER, "maxBER")
-	}
-}
-
-// BenchmarkPowerSideChannel measures the §VI-C edge-row classification
-// by activation energy.
-func BenchmarkPowerSideChannel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := chip.MustNew(topo.Small(), 11)
-		h := host.New(c)
-		p := &core.PowerProbe{H: h, C: c, Bank: 0}
-		order := &core.RowOrder{LUT: [4]int{0, 1, 3, 2}}
-		edge, typical, err := p.ClassifyRows([]int{order.RowAt(10), order.RowAt(100)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(edge) != 1 || len(typical) != 1 {
-			b.Fatal("classification failed")
 		}
 	}
 }

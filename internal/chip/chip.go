@@ -277,8 +277,9 @@ func (c *Chip) DataWidth() int { return c.cmap.DataWidth() }
 
 // WordlineActivations returns the cumulative number of wordlines
 // driven in a bank (edge-subarray rows drive their tandem partner too,
-// counting twice) — the activation-energy proxy used by the §VI
-// power side-channel discussion.
+// counting twice). It is a ground-truth test hook: tests use it to
+// check tandem wordlines (O5, §VI-C) and that a module's hammer reaches
+// every chip; probes must not call it.
 func (c *Chip) WordlineActivations(bankID int) int64 { return c.banks[bankID].wlActs }
 
 // --- command execution ---
@@ -320,7 +321,10 @@ func (c *Chip) Exec(cmd sim.Command) (uint64, error) {
 // whole burst executes without per-command dispatch. For RD batches,
 // out receives one burst per command and must hold Count entries.
 // ExecBatch is semantically identical to issuing the burst's commands
-// through Exec one at a time.
+// through Exec one at a time (FuzzExecBatch holds it to that). An ACT
+// train starts from a fully precharged bank, its first ACT waiting
+// until tRP after the bank's last precharge, and ends one full gap
+// after its last ACT.
 func (c *Chip) ExecBatch(b sim.Batch, out []uint64) error {
 	if err := b.Validate(); err != nil {
 		return err

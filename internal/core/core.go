@@ -11,51 +11,15 @@
 //   - RowCopy charge-sharing (§III-B),
 //   - retention-time tests (§III-B).
 //
-// The probes are designed to be run as a pipeline (Discover): row
-// order first (§III-C pitfall 2), then subarray structure (§IV-C),
-// coupled rows (§IV-B), cell polarity (§III-B), and finally data
-// swizzling (§IV-A). Later probes consume earlier results, exactly as
-// the paper's analyses build on the remapped row addresses.
+// The probes form a chain, which expt.Env runs and caches: row order
+// first (§III-C pitfall 2), then subarray structure (§IV-C), cell
+// polarity (§III-B), and finally data swizzling (§IV-A). The coupled-row
+// probe (§IV-B) needs only the row order and runs where an experiment
+// asks for it. Later probes consume earlier results, exactly as the
+// paper's analyses build on the remapped row addresses.
 package core
 
-import (
-	"fmt"
-
-	"dramscope/internal/host"
-)
-
-// Mapping aggregates everything the pipeline has reverse-engineered
-// about a device. Fields are nil/zero until the corresponding probe
-// has run.
-type Mapping struct {
-	Order     *RowOrder
-	Subarrays *SubarrayLayout
-	Coupled   *CoupledResult
-	Cells     *CellPolarity
-	Swizzle   *SwizzleMap
-}
-
-// Discover runs the full reverse-engineering pipeline on one bank.
-func Discover(h *host.Host, bank int) (*Mapping, error) {
-	m := &Mapping{}
-	var err error
-	if m.Order, err = ProbeRowOrder(h, bank); err != nil {
-		return nil, fmt.Errorf("core: row order: %w", err)
-	}
-	if m.Subarrays, err = ProbeSubarrays(h, bank, m.Order, DefaultSubarrayScan); err != nil {
-		return nil, fmt.Errorf("core: subarrays: %w", err)
-	}
-	if m.Coupled, err = ProbeCoupledRows(h, bank, m.Order); err != nil {
-		return nil, fmt.Errorf("core: coupled rows: %w", err)
-	}
-	if m.Cells, err = ProbeCellPolarity(h, bank, m.Subarrays); err != nil {
-		return nil, fmt.Errorf("core: cell polarity: %w", err)
-	}
-	if m.Swizzle, err = ProbeSwizzle(h, bank, m.Order, m.Subarrays, m.Cells); err != nil {
-		return nil, fmt.Errorf("core: swizzle: %w", err)
-	}
-	return m, nil
-}
+import "dramscope/internal/host"
 
 // allOnes returns a burst of all-1 data for the host's burst width.
 func allOnes(h *host.Host) uint64 {

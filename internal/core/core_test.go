@@ -5,6 +5,7 @@ import (
 
 	"dramscope/internal/chip"
 	"dramscope/internal/host"
+	"dramscope/internal/sim"
 	"dramscope/internal/topo"
 )
 
@@ -233,29 +234,6 @@ func TestProbeSwizzleSmall(t *testing.T) {
 	}
 }
 
-func TestDiscoverPipelineSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline is expensive")
-	}
-	h := small(t)
-	m, err := Discover(h, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Order.Remapped() {
-		t.Error("pipeline missed the row remap")
-	}
-	if m.Coupled.Distance != 448 {
-		t.Errorf("pipeline coupled distance %d", m.Coupled.Distance)
-	}
-	if m.Swizzle.MATWidthBits != 512 {
-		t.Errorf("pipeline MAT width %d", m.Swizzle.MATWidthBits)
-	}
-	if m.Cells.Interleaved {
-		t.Error("pipeline misdetected interleaved cells")
-	}
-}
-
 func TestAIBMeasureBasic(t *testing.T) {
 	h := small(t)
 	a := &AIB{H: h, Bank: 0, Order: recoverOrder()}
@@ -298,6 +276,32 @@ func TestAIBPressOnlyChargedFlips(t *testing.T) {
 	}
 	if res.Flips01 != 0 {
 		t.Fatal("RowPress flips only charged (data-1) cells here")
+	}
+}
+
+// The RowPress defining curve: BER grows monotonically with the
+// aggressor's on-time at a fixed activation count.
+func TestPressOnTimeSweepMonotone(t *testing.T) {
+	h := small(t)
+	a := &AIB{H: h, Bank: 0, Order: recoverOrder()}
+	prev := -1.0
+	for _, tOn := range []sim.Time{1 * sim.Microsecond, 4 * sim.Microsecond, 16 * sim.Microsecond, 64 * sim.Microsecond} {
+		res, err := a.Measure(Run{
+			Mode: ModePress, Acts: 2048, PressOn: tOn,
+			VictimPhys: []int{100, 103, 106, 109}, Side: AggrAbove,
+			VictimData: Solid(allOnes(h)), AggrData: Solid(0),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ber := res.Total.Rate()
+		if ber < prev {
+			t.Fatalf("tOn %v: BER %v below the shorter on-time's %v", tOn, ber, prev)
+		}
+		prev = ber
+	}
+	if prev == 0 {
+		t.Fatal("longest on-time must flip cells")
 	}
 }
 

@@ -114,7 +114,7 @@ func TestProbeSwizzleColumnStride(t *testing.T) {
 	sub := &SubarrayLayout{Boundaries: []int{63, 159, 223, 287, 383}, RegionEdges: []int{223}}
 	// On anti-cell subarrays the swizzle probe needs the polarity
 	// result so its hunt targets discharged cells; run the retention
-	// probe first, as the Discover pipeline does.
+	// probe first, as expt.Env's probe chain does.
 	pol, err := ProbeCellPolarity(h, 0, sub)
 	if err != nil {
 		t.Fatal(err)

@@ -145,11 +145,6 @@ func (cc *copyClassifier) classify(src, dst int) (copyClass, int, error) {
 	return coverage(changed, total), 1, nil
 }
 
-// classifyCopy is the one-shot form of copyClassifier.classify.
-func classifyCopy(h *host.Host, bank, src, dst int, cols []int) (copyClass, int, error) {
-	return newCopyClassifier(h, bank, cols).classify(src, dst)
-}
-
 // coverage buckets a changed-bit count into none/half/full.
 func coverage(changed, total int) copyClass {
 	switch {

@@ -57,9 +57,6 @@ func (s *SwizzleMap) PhysClass(bit int) int {
 	return -1
 }
 
-// PhysParity returns the bitline-parity class of a burst bit.
-func (s *SwizzleMap) PhysParity(bit int) int { return s.Parity[bit] }
-
 // weakCell is a victim cell with a known-small RowHammer threshold,
 // found by the hunting pass; all precise measurements are performed on
 // weak cells so trials stay inside the refresh-safe time budget.

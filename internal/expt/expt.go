@@ -117,9 +117,6 @@ func NewEnv(prof topo.Profile, seed uint64) (*Env, error) {
 	return &Env{Prof: prof, Chip: c, Host: host.New(c), seed: seed}, nil
 }
 
-// Seed returns the device seed the Env was built with.
-func (e *Env) Seed() uint64 { return e.seed }
-
 // Commands returns a snapshot of the DRAM command totals this Env's
 // own Host has issued. On a suite's shared device Env only the probe
 // chain ever drives that Host (measurements run on clones), so the

@@ -54,7 +54,6 @@ func (p *Partition) validate(name string) error {
 type ShardJob struct {
 	name string
 	unit int
-	of   int
 	seed uint64
 	env  *Env
 }
@@ -62,11 +61,8 @@ type ShardJob struct {
 // Name returns the owning experiment's registered name.
 func (sj *ShardJob) Name() string { return sj.name }
 
-// Unit returns this unit's index in [0, Units).
+// Unit returns this unit's index in [0, Partition.Units).
 func (sj *ShardJob) Unit() int { return sj.unit }
-
-// Units returns the partition's total unit count.
-func (sj *ShardJob) Units() int { return sj.of }
 
 // Seed returns the unit's own seed, split from the experiment seed by
 // unit index. It is stable across runs, worker counts, and shard

@@ -301,9 +301,6 @@ func (s *Suite) RegisterProfile(p topo.Profile) {
 	s.profiles[p.Name] = p
 }
 
-// Seed returns the suite's base seed.
-func (s *Suite) Seed() uint64 { return s.seed }
-
 // Register adds an experiment. Names must be unique; After edges must
 // reference already-registered names (this also rules out dependency
 // cycles by construction).
@@ -1007,7 +1004,6 @@ func (s *Suite) runShard(n *node, env *Env) {
 		sj := &ShardJob{
 			name: n.exp.Name,
 			unit: i,
-			of:   n.exp.Part.Units,
 			seed: rng.SplitN(base, "unit", i),
 		}
 		// Unit spans are keyed by unit index — never by shard — so the

@@ -39,7 +39,6 @@
 package faults
 
 import (
-	"fmt"
 	"math"
 
 	"dramscope/internal/geom"
@@ -119,20 +118,6 @@ type Params struct {
 	RetentionMaxSec float64
 }
 
-// ApplyTemperature scales the overall AIB rates for an operating
-// temperature other than the paper's 75°C setpoint (§III-A). AIB
-// rates are temperature-dependent, but the paper observed no trend
-// changes at other temperatures; the model follows: a scalar on
-// BaseScale (~0.5%/°C), leaving every relative factor untouched.
-func (p *Params) ApplyTemperature(celsius float64) {
-	const ref, slope = 75.0, 0.005
-	scale := 1 + slope*(celsius-ref)
-	if scale < 0.1 {
-		scale = 0.1
-	}
-	p.BaseScale *= scale
-}
-
 // Default returns the calibrated parameter set used by the catalog
 // devices. EXPERIMENTS.md records the paper sources of each constant.
 func Default(seed uint64) Params {
@@ -165,32 +150,6 @@ func Default(seed uint64) Params {
 		RetentionMinSec: 0.1, // comfortably above tREFW: no failures under refresh
 		RetentionMaxSec: 1e6, // ~11.5 days; keeps times within sim.Time range
 	}
-}
-
-// Validate checks the parameter set.
-func (p Params) Validate() error {
-	pos := map[string]float64{
-		"BaseScale": p.BaseScale, "HammerBaseP": p.HammerBaseP,
-		"HammerN0": p.HammerN0, "PressBaseP": p.PressBaseP, "PressS0": p.PressS0,
-		"PressPassingRate": p.PressPassingRate, "PressNeighboringRate": p.PressNeighboringRate,
-		"RetentionMinSec": p.RetentionMinSec,
-		"HammerMinStress": p.HammerMinStress, "PressMinStress": p.PressMinStress,
-	}
-	for name, v := range pos {
-		if v <= 0 {
-			return fmt.Errorf("faults: %s must be positive, got %v", name, v)
-		}
-	}
-	if p.RetentionMaxSec < p.RetentionMinSec {
-		return fmt.Errorf("faults: retention bounds inverted")
-	}
-	for _, pair := range [][2]float64{p.HammerRate, p.VicBoost1, p.VicBoost2,
-		p.AggrDamp0, p.AggrDamp1, p.AggrDamp2, p.CrossBoost2, p.EdgeDamp} {
-		if pair[0] <= 0 || pair[1] <= 0 {
-			return fmt.Errorf("faults: factor pairs must be positive, got %v", pair)
-		}
-	}
-	return nil
 }
 
 // Neighborhood captures everything the hammer factor depends on for

@@ -36,26 +36,27 @@ func susceptibleBaseline(charged bool, dir geom.Dir) Neighborhood {
 	panic("unreachable: one parity must be susceptible")
 }
 
+// The calibrated set keeps every rate, scale and factor positive and
+// its retention bounds ordered.
 func TestDefaultValidates(t *testing.T) {
-	if err := params().Validate(); err != nil {
-		t.Fatal(err)
+	p := params()
+	for name, v := range map[string]float64{
+		"BaseScale": p.BaseScale, "HammerBaseP": p.HammerBaseP, "HammerN0": p.HammerN0,
+		"HammerMinStress": p.HammerMinStress, "PressBaseP": p.PressBaseP, "PressS0": p.PressS0,
+		"PressMinStress": p.PressMinStress, "PressPassingRate": p.PressPassingRate,
+		"PressNeighboringRate": p.PressNeighboringRate, "RetentionMinSec": p.RetentionMinSec,
+	} {
+		if v <= 0 {
+			t.Errorf("%s = %v, want positive", name, v)
+		}
 	}
-}
-
-func TestValidateRejectsBadParams(t *testing.T) {
-	muts := []func(*Params){
-		func(p *Params) { p.BaseScale = 0 },
-		func(p *Params) { p.HammerBaseP = -1 },
-		func(p *Params) { p.HammerN0 = 0 },
-		func(p *Params) { p.PressS0 = 0 },
-		func(p *Params) { p.RetentionMaxSec = p.RetentionMinSec / 2 },
-		func(p *Params) { p.VicBoost2 = [2]float64{0, 1} },
+	if p.RetentionMaxSec < p.RetentionMinSec {
+		t.Errorf("retention bounds inverted: [%v, %v]", p.RetentionMinSec, p.RetentionMaxSec)
 	}
-	for i, m := range muts {
-		p := params()
-		m(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
+	for _, pair := range [][2]float64{p.HammerRate, p.VicBoost1, p.VicBoost2,
+		p.AggrDamp0, p.AggrDamp1, p.AggrDamp2, p.CrossBoost2, p.EdgeDamp} {
+		if pair[0] <= 0 || pair[1] <= 0 {
+			t.Errorf("factor pair %v, want both positive", pair)
 		}
 	}
 }
@@ -449,47 +450,6 @@ func TestSeedChangesDraws(t *testing.T) {
 func TestTriOf(t *testing.T) {
 	if TriOf(true) != 1 || TriOf(false) != 0 {
 		t.Fatal("TriOf broken")
-	}
-}
-
-// Temperature scales absolute rates but preserves every relative
-// trend (§III-A: other temperatures "did not change our key
-// observations and conclusions").
-func TestTemperatureScalesRatesNotTrends(t *testing.T) {
-	at := func(celsius float64) Params {
-		p := Default(11)
-		p.ApplyTemperature(celsius)
-		return p
-	}
-	base := susceptibleBaseline(true, geom.Upper)
-	boosted := base
-	boosted.Vic[0], boosted.Vic[4] = 0, 0 // distance-2 opposite
-
-	for _, celsius := range []float64{45, 75, 90} {
-		p := at(celsius)
-		f0, f2 := p.HammerFactor(base), p.HammerFactor(boosted)
-		if f0 <= 0 {
-			t.Fatalf("%vC: baseline factor vanished", celsius)
-		}
-		// The relative boost is temperature-invariant.
-		want := p.VicBoost2[1]
-		if got := f2 / f0; math.Abs(got-want) > 1e-9 {
-			t.Fatalf("%vC: boost %v, want %v", celsius, got, want)
-		}
-	}
-	// Absolute rates grow with temperature.
-	cold := at(45)
-	hot := at(90)
-	if cold.HammerFactor(base) >= hot.HammerFactor(base) {
-		t.Fatal("hammer rate must grow with temperature")
-	}
-}
-
-func TestApplyTemperatureFloor(t *testing.T) {
-	p := Default(1)
-	p.ApplyTemperature(-400)
-	if p.BaseScale <= 0 {
-		t.Fatal("temperature scaling must keep rates positive")
 	}
 }
 

@@ -174,92 +174,3 @@ func TestRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// The program layer must agree with direct host calls, including for
-// the timing-violating RowCopy sequence.
-func TestProgramRowCopy(t *testing.T) {
-	h := newHost(t)
-	tm := h.Target().Timing()
-	if err := h.FillRow(0, 8, 0xf0f0f0f0); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.FillRow(0, 9, 0); err != nil {
-		t.Fatal(err)
-	}
-	tras := int(tm.TRAS / tm.TCK)
-	trp := int(tm.TRP / tm.TCK)
-	trcd := int(tm.TRCD / tm.TCK)
-	p := NewProgram().
-		Act(trp+1, 0, 8).
-		Pre(tras, 0).
-		Act(1, 0, 9). // 1 tCK after PRE: inside the charge-share window
-		Read(trcd, 0, 0).
-		Pre(tras, 0)
-	out, err := h.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0] != 0xf0f0f0f0 {
-		t.Fatalf("program RowCopy read %#x", out)
-	}
-}
-
-func TestProgramLoopHammer(t *testing.T) {
-	h := newHost(t)
-	tp := h.Target().(*chip.Chip).Topology()
-	aggr := tp.UnmapRow(20, 0)
-	victim := tp.UnmapRow(21, 0)
-	all1 := uint64(1)<<uint(h.DataWidth()) - 1
-	if err := h.FillRow(0, victim, all1); err != nil {
-		t.Fatal(err)
-	}
-	tm := h.Target().Timing()
-	tras := int(tm.TRAS / tm.TCK)
-	trp := int(tm.TRP / tm.TCK)
-	body := NewProgram().Act(trp+1, 0, aggr).Pre(tras, 0)
-	if _, err := h.Run(NewProgram().Loop(600_000, body)); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := h.ReadRow(0, victim)
-	flips := 0
-	for _, v := range got {
-		for b := 0; b < h.DataWidth(); b++ {
-			if v&(1<<uint(b)) == 0 {
-				flips++
-			}
-		}
-	}
-	if flips == 0 {
-		t.Fatal("program-loop hammering must flip bits")
-	}
-}
-
-func TestProgramErrors(t *testing.T) {
-	h := newHost(t)
-	// RD with no open row must surface the chip error with context.
-	if _, err := h.Run(NewProgram().Read(1, 0, 0)); err == nil {
-		t.Fatal("expected error from bad program")
-	}
-	if _, err := h.Run(NewProgram().Loop(-1, NewProgram())); err == nil {
-		t.Fatal("negative loop count must error")
-	}
-}
-
-func TestProgramNopAdvances(t *testing.T) {
-	h := newHost(t)
-	before := h.Now()
-	if _, err := h.Run(NewProgram().Nop(1000)); err != nil {
-		t.Fatal(err)
-	}
-	tm := h.Target().Timing()
-	if h.Now()-before != 1000*tm.TCK {
-		t.Fatal("Nop must advance time by its delay")
-	}
-}
-
-func TestProgramLen(t *testing.T) {
-	p := NewProgram().Act(1, 0, 0).Pre(1, 0)
-	if p.Len() != 2 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-}

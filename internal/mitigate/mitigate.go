@@ -7,8 +7,6 @@
 package mitigate
 
 import (
-	"fmt"
-
 	"dramscope/internal/chip"
 	"dramscope/internal/host"
 	"dramscope/internal/rng"
@@ -233,56 +231,4 @@ type Scrambler struct {
 // Mask returns the mask burst for an address.
 func (s Scrambler) Mask(bank, row, col int) uint64 {
 	return rng.Hash(s.Key, uint64(bank), uint64(row), uint64(col))
-}
-
-// WriteRow writes data through the scrambler.
-func (s Scrambler) WriteRow(h *host.Host, bank, row int, data func(col int) uint64) error {
-	width := uint(h.DataWidth())
-	return h.WriteRow(bank, row, func(col int) uint64 {
-		m := s.Mask(bank, row, col)
-		if width < 64 {
-			m &= (1 << width) - 1
-		}
-		return data(col) ^ m
-	})
-}
-
-// ReadRow reads a row and unmasks it.
-func (s Scrambler) ReadRow(h *host.Host, bank, row int) ([]uint64, error) {
-	got, err := h.ReadRow(bank, row)
-	if err != nil {
-		return nil, err
-	}
-	width := uint(h.DataWidth())
-	for col := range got {
-		m := s.Mask(bank, row, col)
-		if width < 64 {
-			m &= (1 << width) - 1
-		}
-		got[col] ^= m
-	}
-	return got, nil
-}
-
-// FlipCount compares a read-back row against the written pattern.
-func FlipCount(got []uint64, want func(col int) uint64) int {
-	flips := 0
-	for col, v := range got {
-		d := v ^ want(col)
-		for ; d != 0; d &= d - 1 {
-			flips++
-		}
-	}
-	return flips
-}
-
-// Validate checks a defense configuration.
-func (d *Defense) Validate() error {
-	if d.Threshold <= 0 {
-		return fmt.Errorf("mitigate: threshold must be positive")
-	}
-	if d.CoupledDistance < 0 {
-		return fmt.Errorf("mitigate: negative coupled distance")
-	}
-	return nil
 }

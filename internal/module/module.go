@@ -84,11 +84,10 @@ func (m *Module) Chips() int { return len(m.chips) }
 // Chip exposes chip i directly (ground truth / validation only).
 func (m *Module) Chip(i int) *chip.Chip { return m.chips[i] }
 
-// Rows, Columns, DataWidth, Banks mirror the chip geometry.
+// Rows, Columns, DataWidth and Timing mirror the chip geometry.
 func (m *Module) Rows() int          { return m.chips[0].Rows() }
 func (m *Module) Columns() int       { return m.chips[0].Columns() }
 func (m *Module) DataWidth() int     { return m.chips[0].DataWidth() }
-func (m *Module) Banks() int         { return m.chips[0].Banks() }
 func (m *Module) Timing() sim.Timing { return m.chips[0].Timing() }
 
 // Now returns the module's current simulated time.
@@ -131,29 +130,6 @@ func (m *Module) Exec(cmd sim.Command) ([]uint64, error) {
 		}
 	}
 	return out, nil
-}
-
-// ExecPerChip is Exec with distinct write data per chip (module-side
-// values). Needed to place controlled per-chip patterns.
-func (m *Module) ExecPerChip(cmd sim.Command, data []uint64) ([]uint64, error) {
-	if cmd.Op != sim.WR {
-		return m.Exec(cmd)
-	}
-	if len(data) != len(m.chips) {
-		return nil, fmt.Errorf("module: ExecPerChip needs %d data words, got %d", len(m.chips), len(data))
-	}
-	if cmd.At < m.now {
-		return nil, fmt.Errorf("module: command %v is before current time %v", cmd, m.now)
-	}
-	m.now = cmd.At
-	for i, c := range m.chips {
-		cc := cmd
-		cc.Data = m.twists[i].ToChip(data[i], beats)
-		if _, err := c.Exec(cc); err != nil {
-			return nil, fmt.Errorf("module: chip %d: %w", i, err)
-		}
-	}
-	return nil, nil
 }
 
 // Pulse hammers a module row (n ACT/PRE pairs) on every chip.

@@ -143,27 +143,6 @@ func TestModulePulseHammersAllChips(t *testing.T) {
 	}
 }
 
-func TestExecPerChip(t *testing.T) {
-	m := MustNew(prof(t), 4, 1)
-	d := &driver{t: t, m: m}
-	d.act(0, 7)
-	d.at += m.Timing().TRCD
-	data := []uint64{1, 2, 3, 4}
-	if _, err := m.ExecPerChip(sim.Command{Op: sim.WR, At: d.at, Col: 0}, data); err != nil {
-		t.Fatal(err)
-	}
-	got := d.rd(0, 0)
-	d.pre(0)
-	for i, v := range got {
-		if v != data[i] {
-			t.Fatalf("chip %d: got %d want %d", i, v, data[i])
-		}
-	}
-	if _, err := m.ExecPerChip(sim.Command{Op: sim.WR, At: d.at, Col: 0}, data[:2]); err == nil {
-		t.Fatal("short data must error")
-	}
-}
-
 func TestModuleRejectsNonPowerOfTwoRows(t *testing.T) {
 	if _, err := New(topo.Small(), 4, 1); err == nil {
 		t.Fatal("Small profile has 896 rows; module must reject it")

@@ -235,11 +235,6 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/runs/"+id, nil, nil, nil)
 }
 
-// Healthy checks the worker's /healthz endpoint.
-func (c *Client) Healthy(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, nil)
-}
-
 // Capacity reads the worker's admission capacity — worker-pool size
 // plus queue slots — from /metrics. That is exactly how many admitted
 // executions the worker holds before answering 429, so the dispatcher

@@ -168,19 +168,3 @@ func TestCapacity(t *testing.T) {
 		t.Fatalf("Capacity = %d, want queue capacity 64 + workers 4", n)
 	}
 }
-
-func TestHealthy(t *testing.T) {
-	t.Parallel()
-	up := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"status":"ok"}`))
-	})
-	if err := up.Healthy(context.Background()); err != nil {
-		t.Fatalf("Healthy against a live worker: %v", err)
-	}
-	down := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"draining"}`, http.StatusServiceUnavailable)
-	})
-	if err := down.Healthy(context.Background()); err == nil {
-		t.Fatal("Healthy against a draining worker returned nil")
-	}
-}

@@ -226,13 +226,6 @@ func (r *run) status(withReport bool) RunStatus {
 	return st
 }
 
-// Start admits one run request: validate (canonicalizing into a
-// ResolvedSpec), then admit. client is the requester's quota identity
-// (empty disables quota accounting for the call).
-func (m *Manager) Start(req RunRequest, client string) (*run, error) {
-	return m.StartTraced(req, client, nil)
-}
-
 // StartTraced admits one run request with an optional trace link — the
 // parsed X-Dramscope-Trace header of a coordinator's dispatch, which
 // roots this run's span subtree under the coordinator's tree.

@@ -101,9 +101,6 @@ func OpenDir(dir string, readonly bool) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// ReadOnly reports whether the store was opened read-only.
-func (s *Store) ReadOnly() bool { return s.readonly }
-
 // ProbeKey identifies one persisted probe-chain state: the full device
 // profile (so any geometry or timing change invalidates), the env
 // seed, and the chain depth (expt.ProbeLevel) the state was warmed to.

@@ -106,9 +106,6 @@ func (m *ColumnMap) Columns() int { return m.columns }
 // DataWidth returns the burst width in bits.
 func (m *ColumnMap) DataWidth() int { return m.dataWidth }
 
-// MATWidth returns the ground-truth MAT width in cells.
-func (m *ColumnMap) MATWidth() int { return m.matWidth }
-
 // Halves reports whether the map distinguishes two row halves
 // (coupled devices).
 func (m *ColumnMap) Halves() int {

@@ -1,7 +1,5 @@
 package swizzle
 
-import "fmt"
-
 // DQTwist is a per-chip permutation of the data pins between the
 // module edge connector and the chip (§III-C pitfall 3). DIMM layout
 // constraints route DQ lanes out of order, so a host byte like 0x55
@@ -19,18 +17,6 @@ func Identity(width int) DQTwist {
 		t[i] = i
 	}
 	return t
-}
-
-// Validate reports an error unless the twist is a permutation.
-func (t DQTwist) Validate() error {
-	seen := make([]bool, len(t))
-	for _, l := range t {
-		if l < 0 || l >= len(t) || seen[l] {
-			return fmt.Errorf("swizzle: DQ twist %v is not a permutation", []int(t))
-		}
-		seen[l] = true
-	}
-	return nil
 }
 
 // Inverse returns the inverse permutation.

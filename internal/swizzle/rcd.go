@@ -1,7 +1,5 @@
 package swizzle
 
-import "fmt"
-
 // RCD models the registered clock driver of an RDIMM/LRDIMM (§III-C
 // pitfall 1, Figure 5b). To cut simultaneous output switching current,
 // the RCD drives the B-side chips with *inverted* address bits by
@@ -34,24 +32,6 @@ func NewRCD(chips int) RCD {
 	return RCD{RowInvertMask: 0x3F8, BSide: b}
 }
 
-// Disabled returns an RCD with address inversion turned off (all
-// chips see the module address unchanged), as on a UDIMM or when the
-// host programs the RCD inversion-disable control word.
-func Disabled(chips int) RCD {
-	return RCD{RowInvertMask: 0, BSide: make([]bool, chips)}
-}
-
-// Validate checks the RCD configuration.
-func (r RCD) Validate() error {
-	if len(r.BSide) == 0 {
-		return fmt.Errorf("swizzle: RCD needs at least one chip")
-	}
-	if r.RowInvertMask < 0 {
-		return fmt.Errorf("swizzle: negative invert mask")
-	}
-	return nil
-}
-
 // RowTo returns the row address chip sees when the host issues
 // moduleRow, folding the inversion into the chip's row space.
 func (r RCD) RowTo(chip, moduleRow, rowCount int) int {
@@ -59,11 +39,6 @@ func (r RCD) RowTo(chip, moduleRow, rowCount int) int {
 		return moduleRow
 	}
 	return (moduleRow ^ r.RowInvertMask) & (rowCount - 1)
-}
-
-// RowFrom inverts RowTo (XOR masks are involutions).
-func (r RCD) RowFrom(chip, chipRow, rowCount int) int {
-	return r.RowTo(chip, chipRow, rowCount)
 }
 
 // Inverts reports whether the given chip receives inverted addresses.
