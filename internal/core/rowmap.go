@@ -52,6 +52,15 @@ const rowOrderHammerActs = 1_500_000
 // ProbeRowOrder recovers the row-address scramble by single-sided
 // RowHammer: for each aggressor in a window, the rows that accumulate
 // bitflips are its physical neighbors (§III-C, following Kim et al.).
+//
+// Before each hammer the window must hold all-1 victims around an
+// all-0 aggressor. Only rows that may not hold that are re-filled: the
+// aggressor, the previous aggressor, and rows that read back with
+// flips. Every other row was just read back as all-1, and that read's
+// ACT restored its charge just as a fill's would. Less than one hammer
+// train passes between a row's restore and its next read, under the
+// minimum retention time, so retention cannot tell the two schedules
+// apart.
 func ProbeRowOrder(h *host.Host, bank int) (*RowOrder, error) {
 	const (
 		base = 16 // 4-row-group aligned, away from the bank edge
@@ -66,9 +75,13 @@ func ProbeRowOrder(h *host.Host, bank int) (*RowOrder, error) {
 
 	ones := allOnes(h)
 	got := make([]uint64, h.Columns()) // reused across the whole scan
+	held := make([]bool, hi-lo)        // rows known to hold all-1
 	for aggr := base; aggr < base+wnd; aggr++ {
 		// Reset the window: victims all-1, aggressor all-0.
 		for r := lo; r < hi; r++ {
+			if r != aggr && held[r-lo] {
+				continue
+			}
 			v := ones
 			if r == aggr {
 				v = 0
@@ -76,6 +89,7 @@ func ProbeRowOrder(h *host.Host, bank int) (*RowOrder, error) {
 			if err := h.FillRow(bank, r, v); err != nil {
 				return nil, err
 			}
+			held[r-lo] = r != aggr
 		}
 		if err := h.Hammer(bank, aggr, rowOrderHammerActs); err != nil {
 			return nil, err
@@ -93,6 +107,7 @@ func ProbeRowOrder(h *host.Host, bank int) (*RowOrder, error) {
 			}
 			if flips > 0 {
 				adj[aggr] = append(adj[aggr], r)
+				held[r-lo] = false
 			}
 		}
 	}

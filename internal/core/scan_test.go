@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -217,4 +219,133 @@ func BenchmarkSubarrayScan(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+}
+
+// probeRowOrderRefillAll is the row-order probe as §III-C runs it: the
+// whole window is re-filled before every hammer. It is the reference
+// ProbeRowOrder, which re-fills only the rows a hammer may have
+// changed, is held to.
+func probeRowOrderRefillAll(h *host.Host, bank int) (*RowOrder, error) {
+	const base, wnd = 16, 16
+	if h.Rows() < base+2*wnd {
+		return nil, fmt.Errorf("core: bank too small for row-order probe")
+	}
+	lo, hi := base-4, base+wnd+4
+	adj := make(map[int][]int)
+	ones := allOnes(h)
+	got := make([]uint64, h.Columns())
+	for aggr := base; aggr < base+wnd; aggr++ {
+		for r := lo; r < hi; r++ {
+			v := ones
+			if r == aggr {
+				v = 0
+			}
+			if err := h.FillRow(bank, r, v); err != nil {
+				return nil, err
+			}
+		}
+		if err := h.Hammer(bank, aggr, rowOrderHammerActs); err != nil {
+			return nil, err
+		}
+		for r := lo; r < hi; r++ {
+			if r == aggr {
+				continue
+			}
+			if err := h.ReadRowInto(bank, r, got); err != nil {
+				return nil, err
+			}
+			flips := 0
+			for _, v := range got {
+				flips += bits.OnesCount64(v ^ ones)
+			}
+			if flips > 0 {
+				adj[aggr] = append(adj[aggr], r)
+			}
+		}
+	}
+	lut, err := lutFromAdjacency(adj, base, wnd)
+	if err != nil {
+		return nil, err
+	}
+	return &RowOrder{LUT: lut}, nil
+}
+
+// warmChain runs the whole probe chain on a fresh chip, bank 0, the
+// way a suite's device Env warms it, with probeOrder as the first
+// probe. It returns the encoded ProbeState, or the first error.
+func warmChain(prof topo.Profile, seed uint64, probeOrder func(*host.Host, int) (*RowOrder, error)) ([]byte, error) {
+	c := chip.MustNew(prof, seed)
+	defer c.Free()
+	h := host.New(c)
+	var ps ProbeState
+	var err error
+	if ps.Order, err = probeOrder(h, 0); err != nil {
+		return nil, err
+	}
+	if ps.Subarrays, err = ProbeSubarrays(h, 0, ps.Order, DefaultSubarrayScan); err != nil {
+		return nil, err
+	}
+	if ps.Cells, err = ProbeCellPolarity(h, 0, ps.Subarrays); err != nil {
+		return nil, err
+	}
+	if ps.Swizzle, err = ProbeSwizzle(h, 0, ps.Order, ps.Subarrays, ps.Cells); err != nil {
+		return nil, err
+	}
+	return EncodeProbeState(&ps)
+}
+
+// ProbeRowOrder must recover the reference's LUT, or fail with its
+// error, on every catalog device over several seeds, each side on its
+// own fresh chip. The chain warmed after it (subarrays, cell polarity,
+// swizzle) must then be the same too, or fail the same way: the
+// skipped fills change the sim clock and ±1 ACT of neighbour stress,
+// and no later probe may depend on that. -short runs a sample.
+func TestRowOrderMatchesReference(t *testing.T) {
+	t.Parallel()
+	profiles, seeds := topo.Catalog(), []uint64{1, 5, 7}
+	if testing.Short() {
+		profiles, seeds = topo.Representative(), seeds[:1]
+	}
+	for _, prof := range profiles {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("%s/seed=%d", prof.Name, seed), func(t *testing.T) {
+				t.Parallel()
+				got, gotErr := warmChain(prof, seed, ProbeRowOrder)
+				want, wantErr := warmChain(prof, seed, probeRowOrderRefillAll)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("chain error %v, reference %v", gotErr, wantErr)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("probe chain differs from the full re-fill reference:\ngot:  %s\nwant: %s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRowOrder times one cold ProbeRowOrder on a freshly built
+// MfrB-DDR4-x8-2017 chip; building and freeing the chip are untimed.
+// WR/op and ACT/op are the commands one probe issues: its fills' bursts
+// and its hammers' 16 × 1.5 M ACTs plus one per fill and read.
+func BenchmarkRowOrder(b *testing.B) {
+	prof, ok := topo.ByName("MfrB-DDR4-x8-2017")
+	if !ok {
+		b.Fatal("MfrB-DDR4-x8-2017 missing from the catalog")
+	}
+	var cmds host.Counters
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := chip.MustNew(prof, 7)
+		h := host.New(c)
+		b.StartTimer()
+		if _, err := ProbeRowOrder(h, 0); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		cmds = cmds.Add(h.Counters())
+		c.Free()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(cmds.WR)/float64(b.N), "WR/op")
+	b.ReportMetric(float64(cmds.ACT)/float64(b.N), "ACT/op")
 }

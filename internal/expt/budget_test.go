@@ -280,7 +280,7 @@ func TestPartitionUnitsMetered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "unit 0/256: activation budget exceeded: 1107856454 ACTs used, cap 1105456439"
+	want := "unit 0/256: activation budget exceeded: 1107856146 ACTs used, cap 1105456131"
 	if got := rep.Results[0].Err; got == nil || got.Error() != want {
 		t.Fatalf("capped sweep: err = %v, want %q", got, want)
 	}

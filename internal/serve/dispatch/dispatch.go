@@ -1,8 +1,8 @@
 // Package dispatch is the coordinator's view of one worker dramscoped
 // node: a thin HTTP client for the run half of the API documented in
 // docs/api.md. The serve.Federator uses it to place campaign members
-// (and solo runs) on worker nodes — start a run, poll it to a terminal
-// state, fetch the report bytes verbatim, cancel, and read the
+// (and solo runs) on worker nodes — start a run, long-poll it to a
+// terminal state, fetch the report bytes verbatim, cancel, and read the
 // worker's admission capacity from /metrics. It deliberately owns its
 // own copies of the few wire fields it reads instead of importing
 // package serve, so the client stays import-cycle-free and the
@@ -91,9 +91,15 @@ type Client struct {
 }
 
 // httpClient is shared by every Client. Its per-request timeout is
-// bounded (streams are never used here, so a hung worker surfaces as
-// an error instead of a stuck poll).
+// bounded, and every request stays below it: streams are never used
+// here, and a long poll asks for statusWait, so a hung worker surfaces
+// as an error instead of a stuck wait.
 var httpClient = &http.Client{Timeout: 60 * time.Second}
+
+// statusWait is how long one Wait request asks the worker to hold its
+// answer (GET /runs/{id}?wait=). It stays well under httpClient's
+// timeout and the server's 30 s cap.
+const statusWait = 20 * time.Second
 
 // do round-trips one JSON request. Non-2xx responses come back as
 // *HTTPError with the body's error message; 2xx bodies decode into out
@@ -154,7 +160,7 @@ func newHTTPError(resp *http.Response) *HTTPError {
 
 // Start admits one run on the worker. A 200 response is a cache or
 // store hit and the returned status is already terminal; 202 means the
-// run executes and must be polled with Wait.
+// run executes and must be awaited with Wait.
 func (c *Client) Start(ctx context.Context, req Request) (Status, error) {
 	var hdr map[string]string
 	if req.Trace != "" {
@@ -165,36 +171,20 @@ func (c *Client) Start(ctx context.Context, req Request) (Status, error) {
 	return st, err
 }
 
-// Status fetches one run's current state.
-func (c *Client) Status(ctx context.Context, id string) (Status, error) {
-	var st Status
-	err := c.do(ctx, http.MethodGet, "/runs/"+id, nil, nil, &st)
-	return st, err
-}
-
-// Wait polls a run every poll interval until it reaches a terminal
-// state or ctx expires. Any transport or HTTP error fails the wait
-// immediately: the coordinator treats it as a worker fault and
-// re-dispatches, and the shared store keeps the retry from recomputing
-// whatever the faulted worker still finishes.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Status, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
+// Wait long-polls a run (GET /runs/{id}?wait=) until it reaches a
+// terminal state or ctx ends; the worker answers as soon as the run
+// finishes. Any transport or HTTP error fails the wait immediately:
+// the coordinator treats it as a worker fault and re-dispatches, and
+// the shared store keeps the retry from recomputing whatever the
+// faulted worker still finishes.
+func (c *Client) Wait(ctx context.Context, id string) (Status, error) {
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
+		var st Status
+		if err := c.do(ctx, http.MethodGet, "/runs/"+id+"?wait="+statusWait.String(), nil, nil, &st); err != nil {
 			return st, err
 		}
 		if st.State != StateRunning {
 			return st, nil
-		}
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return st, ctx.Err()
 		}
 	}
 }

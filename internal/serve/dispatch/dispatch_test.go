@@ -101,37 +101,63 @@ func TestStartBoundsBody(t *testing.T) {
 	}
 }
 
-func TestWaitPollsToTerminal(t *testing.T) {
+// TestWaitLongPolls: every Wait request asks the worker to hold its
+// answer for statusWait. A run that finishes inside the wait costs one
+// request; a running answer (the wait elapsed) is followed by another.
+func TestWaitLongPolls(t *testing.T) {
 	t.Parallel()
-	var polls atomic.Int64
-	c := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		st := Status{ID: "r1", State: StateRunning}
-		if polls.Add(1) >= 3 {
-			st.State = StateDone
-		}
-		json.NewEncoder(w).Encode(st)
-	})
-
-	st, err := c.Wait(context.Background(), "r1", time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone {
-		t.Fatalf("Wait returned state %q, want done", st.State)
-	}
-	if n := polls.Load(); n < 3 {
-		t.Fatalf("Wait polled %d times, want >= 3", n)
+	for _, tc := range []struct {
+		name    string
+		running int64 // leading answers that still say running
+	}{
+		{"finishes inside the wait", 0},
+		{"wait elapses once", 1},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var requests atomic.Int64
+			c := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
+				if r.Method != http.MethodGet || r.URL.Path != "/runs/r1" {
+					t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
+				}
+				if got := r.URL.Query().Get("wait"); got != statusWait.String() {
+					t.Errorf("wait = %q, want %q", got, statusWait)
+				}
+				st := Status{ID: "r1", State: StateDone}
+				if requests.Add(1) <= tc.running {
+					st.State = StateRunning
+				}
+				json.NewEncoder(w).Encode(st)
+			})
+			st, err := c.Wait(context.Background(), "r1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateDone {
+				t.Fatalf("Wait returned state %q, want done", st.State)
+			}
+			if n, want := requests.Load(), tc.running+1; n != want {
+				t.Fatalf("Wait sent %d requests, want %d", n, want)
+			}
+		})
 	}
 }
 
+// TestWaitCancel: canceling ctx ends a Wait whose long poll the worker
+// is still holding.
 func TestWaitCancel(t *testing.T) {
 	t.Parallel()
 	c := stubWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
 		json.NewEncoder(w).Encode(Status{ID: "r1", State: StateRunning})
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := c.Wait(ctx, "r1", time.Millisecond); err == nil {
+	if _, err := c.Wait(ctx, "r1"); err == nil {
 		t.Fatal("Wait on a never-terminal run returned without error")
 	}
 }

@@ -45,7 +45,9 @@ import (
 //     shared persistent store plus spec-digest coalescing make the
 //     retry a cache hit whenever the faulted worker managed to finish.
 
-// FederationOptions configures a Federator.
+// FederationOptions configures a Federator. A fleet runs one build:
+// workers are assumed to speak this coordinator's API, including the
+// long-poll GET /runs/{id}?wait= it awaits members with.
 type FederationOptions struct {
 	// Workers are the worker nodes' base URLs.
 	Workers []string
@@ -67,14 +69,15 @@ type fedWorker struct {
 }
 
 // Federator shards executions across worker nodes. It implements
-// expt.Executor.
+// expt.Executor. It learns that a dispatched member finished from a
+// long poll on the worker, which answers when the run leaves running,
+// so the notice costs no polling interval.
 type Federator struct {
 	opts FederationOptions
 
-	// poll is the remote-run polling interval; cooldown is how long a
-	// faulted worker sits out of placement before being offered
-	// members again.
-	poll, cooldown time.Duration
+	// cooldown is how long a faulted worker sits out of placement
+	// before being offered members again.
+	cooldown time.Duration
 
 	// local runs the members no worker can take.
 	local *expt.Local
@@ -109,7 +112,6 @@ type Federator struct {
 func NewFederator(opts FederationOptions, local *expt.Local) *Federator {
 	f := &Federator{
 		opts:          opts,
-		poll:          100 * time.Millisecond,
 		cooldown:      5 * time.Second,
 		local:         local,
 		leaveOnCancel: func() bool { return false },
@@ -289,8 +291,8 @@ func (f *Federator) markDown(w *fedWorker) {
 
 // runOn runs one placement attempt on one worker end to end: start
 // (carrying the trace link so the worker roots its subtree under the
-// dispatch span d), verify the digest, poll to a terminal state, fetch
-// and validate the report, then graft the worker's trace.
+// dispatch span d), verify the digest, long-poll to a terminal state,
+// fetch and validate the report, then graft the worker's trace.
 func (f *Federator) runOn(ctx context.Context, w *fedWorker, rs *expt.ResolvedSpec, d *trace.Span) (*expt.Execution, fedVerdict) {
 	seed := rs.Seed
 	req := dispatch.Request{
@@ -337,7 +339,7 @@ func (f *Federator) runOn(ctx context.Context, w *fedWorker, rs *expt.ResolvedSp
 			wctx, cancel = context.WithTimeout(ctx, f.opts.MemberTimeout)
 			defer cancel()
 		}
-		st, err = w.client.Wait(wctx, id, f.poll)
+		st, err = w.client.Wait(wctx, id)
 		if err != nil {
 			switch {
 			case ctx.Err() != nil:

@@ -26,14 +26,13 @@ import (
 // count, placement, failure pattern, and retry schedule — and the
 // aggregate never duplicates or drops a member.
 
-// newCoordinator builds a coordinator server with test-speed federation
-// tuning: millisecond polling, and a cooldown long enough that a worker
-// benched by a fault stays benched for the rest of the test.
+// newCoordinator builds a coordinator server with a cooldown long
+// enough that a worker benched by a fault stays benched for the rest of
+// the test.
 func newCoordinator(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
 	if srv.mgr.fed != nil {
-		srv.mgr.fed.poll = 2 * time.Millisecond
 		srv.mgr.fed.cooldown = time.Minute
 	}
 	ts := httptest.NewServer(srv)
@@ -64,11 +63,12 @@ type faultyWorker struct {
 	proxy     *httputil.ReverseProxy
 	ts        *httptest.Server
 
-	mu      sync.Mutex
-	fail5xx int           // /runs requests to answer 500 (<0: all)
-	busy429 int           // /runs requests to answer 429 (<0: all)
-	drop    int           // /runs requests to sever mid-flight (<0: all)
-	delay   time.Duration // added to every request
+	mu         sync.Mutex
+	fail5xx    int           // /runs requests to answer 500 (<0: all)
+	busy429    int           // /runs requests to answer 429 (<0: all)
+	drop       int           // /runs requests to sever mid-flight (<0: all)
+	delay      time.Duration // added to every request
+	statusGets int           // GET /runs/{id} requests seen
 }
 
 func newFaultyWorker(t *testing.T, cfg Config) *faultyWorker {
@@ -106,6 +106,9 @@ func (fw *faultyWorker) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	mode := ""
 	fw.mu.Lock()
 	delay := fw.delay
+	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/runs/") && strings.Count(r.URL.Path, "/") == 2 {
+		fw.statusGets++
+	}
 	if strings.HasPrefix(r.URL.Path, "/runs") {
 		switch {
 		case take(&fw.drop):
@@ -341,6 +344,69 @@ func TestFederatedFaultInjection(t *testing.T) {
 				t.Errorf("healthy worker executed %d members, want %d", n, len(seeds))
 			}
 		})
+	}
+}
+
+// TestFederatedOneWaitPerMember: the coordinator learns a member
+// finished from one long poll, not a polling loop. Members park on the
+// worker until every member's wait is in flight and then some, and
+// each still costs exactly one GET /runs/{id}, besides its report and
+// trace fetches; the campaign keeps its single-process bytes.
+func TestFederatedOneWaitPerMember(t *testing.T) {
+	t.Parallel()
+	released := make(chan struct{})
+	close(released)
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	fw := newFaultyWorker(t, Config{Factory: blockingFactory(nil, release)})
+	t.Cleanup(unpark)
+	srv, ts := newCoordinator(t, Config{
+		Factory: blockingFactory(nil, released),
+		Workers: []string{fw.ts.URL},
+	})
+	statusGets := func() int {
+		fw.mu.Lock()
+		defer fw.mu.Unlock()
+		return fw.statusGets
+	}
+
+	seeds := []uint64{71, 72}
+	wantAgg, wantMembers := localCampaign(t, blockingFactory(nil, released), seeds)
+	cs, resp := postCampaign(t, ts, seedSpecsBody(seeds))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /campaigns status = %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for statusGets() < len(seeds) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d member waits reached the worker", statusGets(), len(seeds))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Longer than any polling interval the dispatcher ever used.
+	time.Sleep(250 * time.Millisecond)
+	unpark()
+
+	events := campaignStreamEvents(t, ts, cs.ID)
+	assertCampaignStream(t, events, len(seeds))
+	final := getCampaignStatus(t, ts, cs.ID)
+	if final.State != StateDone {
+		t.Fatalf("campaign state = %s (err %q), want done", final.State, final.Error)
+	}
+	if got := fedCampaignReport(t, ts, cs.ID); !bytes.Equal(got, wantAgg) {
+		t.Fatalf("federated aggregate differs from the single-process run:\ngot:  %s\nwant: %s", got, wantAgg)
+	}
+	for i, ri := range final.Runs {
+		if got, _ := getReport(t, ts, ri.RunID); !bytes.Equal(got, wantMembers[i]) {
+			t.Fatalf("member %d report differs from its solo run", i)
+		}
+	}
+	if n := statusGets(); n != len(seeds) {
+		t.Errorf("worker saw %d GET /runs/{id} requests, want one per member (%d)", n, len(seeds))
+	}
+	if fs := srv.mgr.fed.Snapshot(); fs.RemoteDone != int64(len(seeds)) || fs.Retried != 0 || fs.FallbackLocal != 0 {
+		t.Errorf("federation metrics = %+v, want %d remoteDone and no retries or fallbacks", fs, len(seeds))
 	}
 }
 

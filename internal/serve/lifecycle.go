@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -152,17 +153,27 @@ func (l *lifecycle) result() (state string, report []byte) {
 	return l.state, l.report
 }
 
-// settled blocks until the lifecycle leaves running and returns its
-// outcome.
-func (l *lifecycle) settled() outcome {
+// settle blocks until the lifecycle leaves running or ctx ends, and
+// returns its outcome at that moment: still running if ctx ended first.
+// It is the one wait behind settled and the GET /runs/{id}?wait= long
+// poll.
+func (l *lifecycle) settle(ctx context.Context) outcome {
 	for {
 		o, changed := l.wait()
 		if o.state != StateRunning {
 			return o
 		}
-		<-changed
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return o
+		}
 	}
 }
+
+// settled blocks until the lifecycle leaves running and returns its
+// outcome.
+func (l *lifecycle) settled() outcome { return l.settle(context.Background()) }
 
 // life returns the lifecycle itself; promoted, it lets runs and
 // campaigns satisfy tracked.

@@ -2,11 +2,12 @@
 // service — the artifact pipeline as infrastructure instead of a
 // one-shot CLI. Clients POST a run request (canonicalized into
 // expt.RunSpec: profile, seed, selection, jobs/shards, activation
-// budget), poll or stream its progress, and fetch the finished
-// report; POST /campaigns lifts the same request to a population (a
-// profiles glob × seed list, or explicit specs) whose member runs
-// share the worker pool and caches and roll up into a deterministic
-// cross-device aggregate. cmd/dramscoped is the binary front-end.
+// budget), poll, long-poll or stream its progress, and fetch the
+// finished report; POST /campaigns lifts the same request to a
+// population (a profiles glob × seed list, or explicit specs) whose
+// member runs share the worker pool and caches and roll up into a
+// deterministic cross-device aggregate. cmd/dramscoped is the binary
+// front-end.
 //
 // The service leans entirely on the suite's determinism contract: a
 // report is a pure function of the spec, so the served bytes are
@@ -28,6 +29,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -380,10 +382,41 @@ func (s *Server) findRun(w http.ResponseWriter, r *http.Request) (tracked, bool)
 	return s.run(w, r)
 }
 
+// maxStatusWait caps the wait of GET /runs/{id}?wait=: a long poll
+// holds its connection no longer than this, whatever it asks for.
+const maxStatusWait = 30 * time.Second
+
+// parseWait reads GET /runs/{id}'s wait parameter: 0 when absent, else
+// the duration asked for, capped at maxStatusWait. A malformed or
+// negative value is an error.
+func parseWait(q url.Values) (time.Duration, error) {
+	if !q.Has("wait") {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q.Get("wait"))
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("bad wait %q: want a non-negative duration such as 20s", q.Get("wait"))
+	}
+	return min(d, maxStatusWait), nil
+}
+
+// handleGetRun serves a run's status. With ?wait=<duration> it is a
+// long poll: the answer is held until the run leaves running, the wait
+// elapses, or the client goes away. A bad wait is a 400.
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
+	wait, err := parseWait(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	run, ok := s.run(w, r)
 	if !ok {
 		return
+	}
+	if wait > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		run.settle(ctx)
+		cancel()
 	}
 	writeJSON(w, http.StatusOK, run.status(true))
 }

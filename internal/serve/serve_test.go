@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -536,6 +537,165 @@ func TestReportConflictWhileRunning(t *testing.T) {
 	waitDone(t, ts, st.ID)
 	if _, code := getReport(t, ts, st.ID); code != http.StatusOK {
 		t.Errorf("GET /report after completion: status = %d, want 200", code)
+	}
+}
+
+// getStatusWait long-polls GET /runs/{id}?wait=<wait> under ctx and
+// returns the decoded status with the response code.
+func getStatusWait(ctx context.Context, ts *httptest.Server, id, wait string) (RunStatus, int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/runs/"+id+"?wait="+wait, nil)
+	if err != nil {
+		return RunStatus{}, 0, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return RunStatus{}, 0, err
+	}
+	defer resp.Body.Close()
+	var st RunStatus
+	if resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&st)
+	}
+	return st, resp.StatusCode, err
+}
+
+// TestStatusWaitReturnsOnFinish: a long poll on a running run is held
+// while the run is parked and answered as soon as it finishes, with
+// the finished status and its report, not after the full wait.
+func TestStatusWaitReturnsOnFinish(t *testing.T) {
+	t.Parallel()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	ts := newTestServer(t, Config{Factory: blockingFactory(started, release), Budget: 1})
+
+	st, _ := postRun(t, ts, `{"only":["slow"]}`)
+	<-started
+	type answer struct {
+		st   RunStatus
+		code int
+		err  error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		st, code, err := getStatusWait(context.Background(), ts, st.ID, "30s")
+		got <- answer{st, code, err}
+	}()
+	select {
+	case a := <-got:
+		close(release)
+		t.Fatalf("long poll answered %+v while the run was parked", a)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case a := <-got:
+		if a.err != nil || a.code != http.StatusOK {
+			t.Fatalf("long poll: code %d, err %v", a.code, a.err)
+		}
+		if a.st.State != StateDone || len(a.st.Report) == 0 {
+			t.Fatalf("long poll answered state %s with a %d-byte report, want done with the report", a.st.State, len(a.st.Report))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("long poll still held 10s after the run finished")
+	}
+}
+
+// TestStatusWaitElapses: a long poll whose wait elapses first answers
+// the run's current status, still running.
+func TestStatusWaitElapses(t *testing.T) {
+	t.Parallel()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	ts := newTestServer(t, Config{Factory: blockingFactory(started, release), Budget: 1})
+	t.Cleanup(func() { close(release) })
+
+	st, _ := postRun(t, ts, `{"only":["slow"]}`)
+	<-started
+	begin := time.Now()
+	got, code, err := getStatusWait(context.Background(), ts, st.ID, "50ms")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("long poll: code %d, err %v", code, err)
+	}
+	if got.State != StateRunning {
+		t.Fatalf("long poll answered state %s after its wait, want running", got.State)
+	}
+	if took := time.Since(begin); took < 50*time.Millisecond {
+		t.Fatalf("long poll answered after %v, before its 50ms wait", took)
+	}
+}
+
+// TestStatusWaitValidation: a malformed or negative wait is a 400, a
+// zero wait answers at once, an unknown run is still a 404, and a wait
+// past the cap is clamped to it.
+func TestStatusWaitValidation(t *testing.T) {
+	t.Parallel()
+	ts := newTestServer(t, Config{Factory: testFactory})
+	st, _ := postRun(t, ts, `{}`)
+	waitDone(t, ts, st.ID)
+	for _, tc := range []struct {
+		id, wait string
+		want     int
+	}{
+		{st.ID, "abc", http.StatusBadRequest},
+		{st.ID, "20", http.StatusBadRequest},
+		{st.ID, "-1s", http.StatusBadRequest},
+		{st.ID, "", http.StatusBadRequest},
+		{st.ID, "0s", http.StatusOK},
+		{st.ID, "1h", http.StatusOK},
+		{"r999999", "1s", http.StatusNotFound},
+	} {
+		if _, code, err := getStatusWait(context.Background(), ts, tc.id, tc.wait); err != nil || code != tc.want {
+			t.Errorf("GET /runs/%s?wait=%s: code %d, err %v; want %d", tc.id, tc.wait, code, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		query string
+		want  time.Duration
+	}{
+		{"", 0},
+		{"wait=0s", 0},
+		{"wait=20s", 20 * time.Second},
+		{"wait=30s", maxStatusWait},
+		{"wait=1h", maxStatusWait},
+	} {
+		q, _ := url.ParseQuery(tc.query)
+		if got, err := parseWait(q); err != nil || got != tc.want {
+			t.Errorf("parseWait(%q) = %v, %v; want %v", tc.query, got, err, tc.want)
+		}
+	}
+}
+
+// TestStatusWaitClientGone: a client that goes away mid long poll
+// releases the handler at once rather than holding it for the wait.
+func TestStatusWaitClientGone(t *testing.T) {
+	t.Parallel()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	srv := New(Config{Factory: blockingFactory(started, release), Budget: 1})
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if r.URL.Query().Has("wait") {
+			returned <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() { drain(t, srv, ts) })
+	t.Cleanup(func() { close(release) })
+
+	st, _ := postRun(t, ts, `{"only":["slow"]}`)
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+	}()
+	if _, _, err := getStatusWait(ctx, ts, st.ID, "30s"); err == nil {
+		t.Fatal("long poll answered although its client went away")
+	}
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler still holding the long poll 10s after its client went away")
 	}
 }
 
