@@ -14,8 +14,9 @@
 #                  BENCH_serve.json: serving-layer load test — latency
 #                  percentiles, coalesce rate, rejects)
 #   make bench-check - CI smoke gate: fail if the cold- or warm-suite
-#                  ns/ACT regressed more than 1.5x vs the committed
-#                  snapshot (GOMAXPROCS pinned to 1 on both sides),
+#                  ns/ACT (medians of three runs each) regressed more
+#                  than 1.5x vs the committed snapshot (GOMAXPROCS
+#                  pinned to 1 on both sides),
 #                  if BENCH_serve.json records 5xx errors or zero
 #                  coalesced requests, or if the median of five traced
 #                  cold suites is more than 5% slower than the median

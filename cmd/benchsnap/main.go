@@ -19,9 +19,10 @@
 //
 //	benchsnap                      # refresh both snapshots in place
 //	benchsnap -check               # smoke mode: re-measure cold and
-//	                               # warm ns/ACT and fail if either
-//	                               # regressed more than -threshold x
-//	                               # vs BENCH_suite.json, or if tracing
+//	                               # warm ns/ACT (medians of three runs
+//	                               # each) and fail if either regressed
+//	                               # more than -threshold x vs
+//	                               # BENCH_suite.json, or if tracing
 //	                               # slows the cold suite by more than
 //	                               # -trace-overhead x (medians of five
 //	                               # alternating pairs)
@@ -30,7 +31,10 @@
 // Absolute wall times are machine-dependent; the -check gate therefore
 // compares only ns/ACT ratios — cold (the batched command hot path)
 // and warm (the arena + flip-table measurement fast path) — against
-// the snapshot. The threshold (default 1.5x) trips on algorithmic
+// the snapshot. Both the snapshot and the gate take the median of
+// three cold suites, each on a fresh store, and of the three warm
+// suites run against them, so one slow run on a shared machine
+// decides neither. The threshold (default 1.5x) trips on algorithmic
 // regressions, not CI-runner jitter; both measured runs and the
 // snapshot pin GOMAXPROCS (default 1) so the serial hot-path numbers
 // stay comparable across machines with different core counts.
@@ -117,14 +121,14 @@ func run(suiteOut, campaignOut, serveOut string, check bool, threshold, traceOve
 		}
 		return checkTraceOverhead(traceOverhead, jobs)
 	}
-	sb, err := measureSuite(jobs, true)
+	sb, err := measureSuite(jobs)
 	if err != nil {
 		return err
 	}
 	if err := writeJSON(suiteOut, sb); err != nil {
 		return err
 	}
-	fmt.Printf("suite: %.1f ns/ACT, cold %s, warm %s (%d ACTs, jobs=%d shards=%d)\n",
+	fmt.Printf("suite: %.3f ns/ACT, cold %s, warm %s (%d ACTs, jobs=%d shards=%d)\n",
 		sb.NsPerAct, time.Duration(sb.ColdWallMS)*time.Millisecond,
 		time.Duration(sb.WarmWallMS)*time.Millisecond, sb.Activations, sb.Jobs, sb.Shards)
 
@@ -159,39 +163,64 @@ func coldSuite(jobs int, st *store.Store, root *trace.Span) (time.Duration, int6
 	return time.Since(start), s.ActivationsUsed(), nil
 }
 
-func measureSuite(jobs int, warm bool) (*SuiteBench, error) {
-	sb := &SuiteBench{Schema: 1, GoMaxProcs: runtime.GOMAXPROCS(0), Jobs: jobs, Shards: jobs}
+// suiteRuns is how many cold and warm suites a measurement takes the
+// median of.
+const suiteRuns = 3
 
+// suiteSamples runs n cold/warm suite pairs (suitePair) and returns
+// their wall times and each kind's metered activations, which every run
+// of a kind repeats exactly.
+func suiteSamples(jobs, n int) (cold, warm []time.Duration, coldActs, warmActs int64, err error) {
+	for i := 0; i < n; i++ {
+		c, w, ca, wa, err := suitePair(jobs)
+		if err != nil {
+			return nil, nil, 0, 0, err
+		}
+		cold, warm, coldActs, warmActs = append(cold, c), append(warm, w), ca, wa
+	}
+	return cold, warm, coldActs, warmActs, nil
+}
+
+// suitePair runs one cold suite on its own empty store, from a
+// collected heap as a fresh process would start, then one warm suite
+// against the store it filled: the warm run skips the probe chain and
+// goes straight to measurement.
+func suitePair(jobs int) (cold, warm time.Duration, coldActs, warmActs int64, err error) {
 	st, cleanup, err := tempStore()
 	if err != nil {
-		return nil, err
+		return 0, 0, 0, 0, err
 	}
 	defer cleanup()
+	debug.FreeOSMemory()
+	if cold, coldActs, err = coldSuite(jobs, st, nil); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	warm, warmActs, err = coldSuite(jobs, st, nil)
+	return cold, warm, coldActs, warmActs, err
+}
 
-	// Cold: empty store, the run pays the full probe chain.
-	cold, acts, err := coldSuite(jobs, st, nil)
+// nsPerAct is wall nanoseconds per metered activation, 0 without any.
+func nsPerAct(wall time.Duration, acts int64) float64 {
+	if acts <= 0 {
+		return 0
+	}
+	return float64(wall.Nanoseconds()) / float64(acts)
+}
+
+func measureSuite(jobs int) (*SuiteBench, error) {
+	cold, warm, acts, warmActs, err := suiteSamples(jobs, suiteRuns)
 	if err != nil {
 		return nil, err
 	}
-	sb.ColdWallMS = cold.Milliseconds()
-	sb.Activations = acts
-	if acts > 0 {
-		sb.NsPerAct = float64(cold.Nanoseconds()) / float64(acts)
-	}
-
-	if warm {
-		// Warm: the store now holds every probe chain; the suite skips
-		// straight to measurement.
-		warmWall, warmActs, err := coldSuite(jobs, st, nil)
-		if err != nil {
-			return nil, err
-		}
-		sb.WarmWallMS = warmWall.Milliseconds()
-		if warmActs > 0 {
-			sb.WarmNsPerAct = float64(warmWall.Nanoseconds()) / float64(warmActs)
-		}
-	}
-	return sb, nil
+	c, w := median(cold), median(warm)
+	return &SuiteBench{
+		Schema: 1, GoMaxProcs: runtime.GOMAXPROCS(0), Jobs: jobs, Shards: jobs,
+		Activations:  acts,
+		NsPerAct:     nsPerAct(c, acts),
+		ColdWallMS:   c.Milliseconds(),
+		WarmWallMS:   w.Milliseconds(),
+		WarmNsPerAct: nsPerAct(w, warmActs),
+	}, nil
 }
 
 // goldenCampaignSpecs mirrors the Makefile's GOLDEN_CAMPAIGN
@@ -246,12 +275,12 @@ func tempStore() (st *store.Store, cleanup func(), err error) {
 	return st, func() { os.RemoveAll(dir) }, nil
 }
 
-// checkSuite is the CI smoke gate: one cold suite run populating a
-// throwaway store, then one warm run against it, each compared against
-// the committed snapshot on its machine-portable ns/ACT metric. The
-// cold gate guards the batched command hot path; the warm gate guards
-// the measurement fast path — the arena, the flip tables, and the
-// allocation-free batch loop.
+// checkSuite is the CI smoke gate: the median of three cold suites,
+// each on a fresh store, and of the three warm runs against them, each
+// compared against the committed snapshot on its machine-portable
+// ns/ACT metric. The cold gate guards the batched command hot path; the
+// warm gate guards the measurement fast path — the arena, the flip
+// tables, and the allocation-free batch loop.
 func checkSuite(suiteOut string, threshold float64, jobs int) error {
 	data, err := os.ReadFile(suiteOut)
 	if err != nil {
@@ -265,44 +294,35 @@ func checkSuite(suiteOut string, threshold float64, jobs int) error {
 		return fmt.Errorf("snapshot %s has no ns/ACT baseline", suiteOut)
 	}
 
-	st, cleanup, err := tempStore()
+	cold, warm, acts, warmActs, err := suiteSamples(jobs, suiteRuns)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-
-	cold, acts, err := coldSuite(jobs, st, nil)
-	if err != nil {
+	fmt.Printf("suite samples: cold %v, warm %v\n", cold, warm)
+	if err := suiteVerdict("cold", cold, acts, want.NsPerAct, threshold); err != nil {
 		return err
 	}
-	if acts <= 0 {
-		return fmt.Errorf("cold suite metered no activations")
-	}
-	got := float64(cold.Nanoseconds()) / float64(acts)
-	fmt.Printf("ns/ACT: measured %.1f, snapshot %.1f (%.2fx, threshold %.1fx)\n",
-		got, want.NsPerAct, got/want.NsPerAct, threshold)
-	if got > want.NsPerAct*threshold {
-		return fmt.Errorf("hot path regressed: %.1f ns/ACT vs snapshot %.1f (more than %.1fx)",
-			got, want.NsPerAct, threshold)
-	}
-
 	// Snapshots written before the warm metric existed have no
 	// baseline to compare against; the cold gate still applies.
 	if want.WarmNsPerAct > 0 {
-		warmWall, warmActs, err := coldSuite(jobs, st, nil)
-		if err != nil {
-			return err
-		}
-		if warmActs <= 0 {
-			return fmt.Errorf("warm suite metered no activations")
-		}
-		warmGot := float64(warmWall.Nanoseconds()) / float64(warmActs)
-		fmt.Printf("warm ns/ACT: measured %.1f, snapshot %.1f (%.2fx, threshold %.1fx)\n",
-			warmGot, want.WarmNsPerAct, warmGot/want.WarmNsPerAct, threshold)
-		if warmGot > want.WarmNsPerAct*threshold {
-			return fmt.Errorf("warm measurement path regressed: %.1f ns/ACT vs snapshot %.1f (more than %.1fx)",
-				warmGot, want.WarmNsPerAct, threshold)
-		}
+		return suiteVerdict("warm", warm, warmActs, want.WarmNsPerAct, threshold)
+	}
+	return nil
+}
+
+// suiteVerdict is one suite gate's decision: the median run's ns/ACT
+// against the snapshot's, failing above threshold times it. One slow
+// run of three does not move the median; a slowdown of every run does.
+func suiteVerdict(kind string, walls []time.Duration, acts int64, want, threshold float64) error {
+	if acts <= 0 {
+		return fmt.Errorf("%s suite metered no activations", kind)
+	}
+	got := nsPerAct(median(walls), acts)
+	fmt.Printf("%s ns/ACT: measured %.3f, snapshot %.3f (%.2fx, threshold %.1fx)\n",
+		kind, got, want, got/want, threshold)
+	if got > want*threshold {
+		return fmt.Errorf("%s suite regressed: %.3f ns/ACT vs snapshot %.3f (more than %.1fx)",
+			kind, got, want, threshold)
 	}
 	return nil
 }

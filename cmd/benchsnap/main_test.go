@@ -35,3 +35,27 @@ func TestTraceVerdict(t *testing.T) {
 		}
 	}
 }
+
+// The suite gate compares the median of three runs' ns/ACT with the
+// snapshot: one slow run must not fail it, two must.
+func TestSuiteVerdict(t *testing.T) {
+	const acts, want = 1_000_000_000, 0.5 // a 500 ms suite
+	for _, tc := range []struct {
+		name  string
+		walls []time.Duration
+		pass  bool
+	}{
+		{"equal", millis(500, 510, 490), true},
+		{"one run at 2x", millis(500, 1000, 490), true},
+		{"two runs at 1.6x", millis(800, 810, 490), false},
+		{"steady 1.6x", millis(800, 810, 790), false},
+	} {
+		err := suiteVerdict("cold", tc.walls, acts, want, 1.5)
+		if (err == nil) != tc.pass {
+			t.Errorf("%s: err %v, want pass=%v", tc.name, err, tc.pass)
+		}
+	}
+	if err := suiteVerdict("warm", millis(500, 500, 500), 0, want, 1.5); err == nil {
+		t.Error("a suite that metered no activations passed")
+	}
+}

@@ -127,8 +127,10 @@ func (c *Chip) rowStateFor(b *bank, wl int) *rowState {
 
 // resetArena recycles a bank's row state: the used slab prefix is
 // cleared (at most one memclear per chunk in use) and every slot
-// becomes available again.
+// becomes available again. A fault application parked by a row left
+// open points into the arena, so it goes too.
 func (b *bank) resetArena(words int) {
+	b.parked = faultApp{}
 	full, rem := b.inUse/arenaChunkRows, b.inUse%arenaChunkRows
 	for i := 0; i < full; i++ {
 		clear(b.slabChunks[i])

@@ -14,19 +14,19 @@ import (
 // Exec loop (execBatchLoop). If ExecBatch accepts the batch, the twins
 // must be indistinguishable afterwards: the same RD outputs, the same
 // Now(), and the same data on every touched row and its physical
-// neighbours. If ExecBatch rejects it, the loop must fail too.
+// neighbours. If ExecBatch rejects it, the loop must fail too. The
+// twins come coupled (topo.Small) and uncoupled: on the uncoupled pair
+// a whole-row WR batch drops the faults its row's ACT parked, where
+// the loop's first WR applies them.
 //
 // Batches outside the kernels' domain are skipped: malformed ones
-// (sim.Batch.Validate), ACT trains whose precharge gap is inside the
+// (sim.Batch.Validate) and ACT trains whose precharge gap is inside the
 // RowCopy window (the pulse kernel refuses them; explicit commands
-// express RowCopy), and ACT trains that last as long as the shortest
-// retention time. The pulse kernel restores the aggressor row once, at
-// the train's first ACT, where the loop restores it at every ACT, so
-// past that length the two could decay the aggressor differently.
-// Every hammer and press train the probes issue is far shorter.
+// express RowCopy).
 func FuzzExecBatch(f *testing.F) {
 	tm := sim.DDR4()
 	cols := MustNew(topo.Small(), 1).Columns()
+	ucols := MustNew(uncoupledSmall(), 1).Columns()
 	const (
 		opACT, opRD, opWR = 0, 1, 2
 		bank0             = 1 // bankRaw 1 is bank 0 (see Bank below)
@@ -35,31 +35,35 @@ func FuzzExecBatch(f *testing.F) {
 	// open row, a hammer and a press train next to written rows, a bare
 	// ACT inside the RowCopy window, and TestExecBatchRejects'
 	// rejections (bad bank, column overrun, negative stride walk, time
-	// reversal).
-	f.Add(uint8(opWR), false, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(cols), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0x9e3779b97f4a7c15), true)
-	f.Add(uint8(opRD), true, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(cols), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false)
-	f.Add(uint8(opWR), false, true, uint8(bank0), int16(0), int16(0), int8(3), uint16((cols+2)/3), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0xf0f0f0f0), false)
-	f.Add(uint8(opACT), false, false, uint8(bank0), int16(13), int16(0), int8(0), uint16(60_000), int64(sim.Nanosecond), int64(tm.TRAS+tm.TRP), int64(tm.TRAS), uint64(0), false)
-	f.Add(uint8(opACT), true, false, uint8(bank0), int16(71), int16(0), int8(0), uint16(4096), int64(sim.Microsecond), int64(7800*sim.Nanosecond+tm.TRP), int64(7800*sim.Nanosecond), uint64(0), false)
-	f.Add(uint8(opACT), true, false, uint8(bank0), int16(12), int16(0), int8(0), uint16(1), int64(2*sim.Nanosecond), int64(0), int64(0), uint64(0), false)
-	f.Add(uint8(opRD), false, true, uint8(5), int16(0), int16(0), int8(1), uint16(2), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false)
-	f.Add(uint8(opRD), false, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(cols+1), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false)
-	f.Add(uint8(opRD), false, true, uint8(bank0), int16(0), int16(0), int8(-1), uint16(2), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false)
-	f.Add(uint8(opRD), false, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(2), int64(-tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false)
+	// reversal). Then a whole-row WR and RD on the uncoupled twins,
+	// whose open row's hammered neighbour left faults parked, and a
+	// train of 2000 ACTs with a 150 us precharge gap that outlasts the
+	// shortest retention time.
+	f.Add(uint8(opWR), false, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(cols), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0x9e3779b97f4a7c15), true, false)
+	f.Add(uint8(opRD), true, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(cols), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false, false)
+	f.Add(uint8(opWR), false, true, uint8(bank0), int16(0), int16(0), int8(3), uint16((cols+2)/3), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0xf0f0f0f0), false, false)
+	f.Add(uint8(opACT), false, false, uint8(bank0), int16(13), int16(0), int8(0), uint16(60_000), int64(sim.Nanosecond), int64(tm.TRAS+tm.TRP), int64(tm.TRAS), uint64(0), false, false)
+	f.Add(uint8(opACT), true, false, uint8(bank0), int16(71), int16(0), int8(0), uint16(4096), int64(sim.Microsecond), int64(7800*sim.Nanosecond+tm.TRP), int64(7800*sim.Nanosecond), uint64(0), false, false)
+	f.Add(uint8(opACT), true, false, uint8(bank0), int16(12), int16(0), int8(0), uint16(1), int64(2*sim.Nanosecond), int64(0), int64(0), uint64(0), false, false)
+	f.Add(uint8(opRD), false, true, uint8(5), int16(0), int16(0), int8(1), uint16(2), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false, false)
+	f.Add(uint8(opRD), false, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(cols+1), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false, false)
+	f.Add(uint8(opRD), false, true, uint8(bank0), int16(0), int16(0), int8(-1), uint16(2), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false, false)
+	f.Add(uint8(opRD), false, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(2), int64(-tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false, false)
+	f.Add(uint8(opWR), false, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(ucols), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0x9e3779b97f4a7c15), true, true)
+	f.Add(uint8(opRD), true, true, uint8(bank0), int16(0), int16(0), int8(1), uint16(ucols), int64(tm.TRCD), int64(tm.TRCD), int64(0), uint64(0), false, true)
+	f.Add(uint8(opACT), false, false, uint8(bank0), int16(10), int16(0), int8(0), uint16(2000), int64(sim.Nanosecond), int64(200*sim.Microsecond), int64(50*sim.Microsecond), uint64(0), false, false)
 
-	var twins [2][2]*Chip // [scheme][batch, loop]
-	for i, scheme := range []topo.CellScheme{topo.TrueCellsOnly, topo.InterleavedTrueAnti} {
-		p := topo.Small()
-		p.Scheme = scheme
-		twins[i] = [2]*Chip{MustNew(p, 9), MustNew(p, 9)}
+	var twins [2][2][2]*Chip // [uncoupled][scheme][batch, loop]
+	for i, p := range []topo.Profile{topo.Small(), uncoupledSmall()} {
+		for j, scheme := range []topo.CellScheme{topo.TrueCellsOnly, topo.InterleavedTrueAnti} {
+			p.Scheme = scheme
+			twins[i][j] = [2]*Chip{MustNew(p, 9), MustNew(p, 9)}
+		}
 	}
 	f.Fuzz(func(t *testing.T, op uint8, anti, open bool, bankRaw uint8, rowRaw, colRaw int16, strideRaw int8,
-		count uint16, delay, gap, on int64, data uint64, perCmd bool) {
-		scheme := 0
-		if anti {
-			scheme = 1
-		}
-		batched, loop := twins[scheme][0], twins[scheme][1]
+		count uint16, delay, gap, on int64, data uint64, perCmd, uncoupled bool) {
+		pair := twins[b2i(uncoupled)][b2i(anti)]
+		batched, loop := pair[0], pair[1]
 		for _, c := range []*Chip{batched, loop} {
 			c.Reset()
 			fuzzHistory(t, c, open)
@@ -68,7 +72,7 @@ func FuzzExecBatch(f *testing.F) {
 		b := sim.Batch{
 			Op:     []sim.Op{sim.ACT, sim.RD, sim.WR}[op%3],
 			At:     batched.Now() + sim.Time(delay%int64(2*sim.Second)),
-			Gap:    sim.Time(gap % int64(200*sim.Microsecond)),
+			Gap:    sim.Time(gap % int64(250*sim.Millisecond)),
 			Bank:   int(bankRaw%uint8(batched.Banks()+2)) - 1,
 			Row:    int(rowRaw) % (batched.Rows() + 16),
 			Col:    int(colRaw) % (batched.Columns() + 8),
@@ -88,8 +92,7 @@ func FuzzExecBatch(f *testing.F) {
 		if b.Validate() != nil {
 			return
 		}
-		if b.Op == sim.ACT && b.On > 0 &&
-			(b.Gap-b.On <= batched.timing.RowCopyMaxGap || sim.Time(b.Count)*b.Gap >= batched.retMin/2) {
+		if b.Op == sim.ACT && b.On > 0 && b.Gap-b.On <= batched.timing.RowCopyMaxGap {
 			return
 		}
 
@@ -132,7 +135,10 @@ func FuzzExecBatch(f *testing.F) {
 // starts from: one written row in bank 1, then three in bank 0 (one of
 // them in a second subarray), ending with the precharge of row 10 of
 // bank 0, which an ACT inside the RowCopy window copies. With open set,
-// row 11 of bank 0 is left open, so RD/WR batches have a row to work on.
+// row 11's wordline is charged, its physical neighbour row 10 is
+// cleared and hammered past the stress floor, and row 11 is left open
+// with the hammer's faults parked, so RD/WR batches have a row to work
+// on.
 func fuzzHistory(t *testing.T, c *Chip, open bool) {
 	h := &tb{t: t, c: c}
 	all1 := uint64(1)<<uint(c.DataWidth()) - 1
@@ -141,6 +147,19 @@ func fuzzHistory(t *testing.T, c *Chip, open bool) {
 	h.writeRow(0, 70, all1)
 	h.writeRow(0, 10, all1)
 	if open {
+		h.writeRow(0, 11, all1)
+		if partner, ok := c.topo.CoupledPartner(11); ok {
+			h.writeRow(0, partner, all1) // the other half of row 11's wordline
+		}
+		h.writeRow(0, 10, 0)
+		h.step(sim.Nanosecond)
+		if err := c.AdvanceTo(h.at); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Pulse(0, 10, 1_000_000, c.timing.TRAS, c.timing.TRP); err != nil {
+			t.Fatal(err)
+		}
+		h.at = c.Now()
 		h.act(0, 11)
 	}
 	if err := c.AdvanceTo(h.at); err != nil {
@@ -199,6 +218,13 @@ func execBatchLoop(c *Chip, b sim.Batch, out []uint64) error {
 		}
 	}
 	return nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 type bankRow struct{ bank, row int }

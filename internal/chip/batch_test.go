@@ -219,7 +219,31 @@ func TestResetEquivalentToFresh(t *testing.T) {
 		}
 	}
 
-	// Third case: Free clears the dirty chip's charge slabs and pools
+	// A Reset with a row open and a hammer's flips parked on it: the
+	// parked application points into the recycled arena, so Reset drops
+	// it, and the victim's first readback reads as power-on.
+	dirty.c.Reset()
+	dirty.at = 0
+	scenario(dirty)
+	_ = dirty.c.Pulse(0, aggr, 2_000_000, dirty.c.Timing().TRAS, dirty.c.Timing().TRP)
+	dirty.at = dirty.c.Now()
+	dirty.act(0, victim)
+	if dirty.c.banks[0].parked.rs == nil {
+		t.Fatal("the victim's ACT parked no fault application")
+	}
+	dirty.c.Reset()
+	dirty.at = 0
+	if dirty.c.banks[0].parked.rs != nil {
+		t.Fatal("Reset kept the open row's parked fault application")
+	}
+	wantFirst := newTB(t, prof, 99).readRow(0, victim)
+	for i, v := range dirty.readRow(0, victim) {
+		if v != wantFirst[i] {
+			t.Fatalf("col %d: chip reset with faults parked read %#x, fresh chip %#x", i, v, wantFirst[i])
+		}
+	}
+
+	// Last case: Free clears the dirty chip's charge slabs and pools
 	// them, and a chip built afterwards takes its slabs from that pool.
 	// Recycled slabs must read as power-on.
 	dirty.c.Free()

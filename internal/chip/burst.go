@@ -23,6 +23,12 @@ type burstMap struct {
 	segs []fieldSeg
 	off  []int32
 
+	// wholeRow[half] reports whether the bursts of one half together
+	// cover every cell of the wordline, so a WR to each of its columns
+	// overwrites the whole row. True for uncoupled geometries; a
+	// coupled row is half a wordline.
+	wholeRow []bool
+
 	toBurst [8][256]uint64 // image byte j -> its bits in burst order
 	toImage [8][256]uint64 // burst byte j -> its bits in image order
 }
@@ -36,7 +42,9 @@ type fieldSeg struct {
 	img   uint8  // bit offset of the run within the image
 }
 
-func newBurstMap(cm *swizzle.ColumnMap) *burstMap {
+// newBurstMap compiles the column map of a wordline of the given
+// number of charge words.
+func newBurstMap(cm *swizzle.ColumnMap, words int) *burstMap {
 	width, bpm := cm.DataWidth(), cm.BitsPerMAT()
 	m := &burstMap{cols: cm.Columns(), bytes: width / 8}
 
@@ -74,6 +82,19 @@ func newBurstMap(cm *swizzle.ColumnMap) *burstMap {
 		}
 	}
 	m.off = append(m.off, int32(len(m.segs)))
+
+	covered := make([]uint64, words)
+	for half := 0; half < cm.Halves(); half++ {
+		clear(covered)
+		for _, s := range m.segs[m.off[half*m.cols]:m.off[(half+1)*m.cols]] {
+			covered[s.word] |= s.mask << s.shift
+		}
+		whole := true
+		for _, w := range covered {
+			whole = whole && w == ^uint64(0)
+		}
+		m.wholeRow = append(m.wholeRow, whole)
+	}
 	return m
 }
 

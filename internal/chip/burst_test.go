@@ -38,8 +38,8 @@ func refWriteBurst(cm *swizzle.ColumnMap, charge []uint64, col, half int, data u
 // compares readback and every charge word bit for bit. WR data carries
 // garbage above DataWidth, which both sides must ignore.
 func checkBurstMap(t testing.TB, cm *swizzle.ColumnMap, s *xorshift) {
-	m := newBurstMap(cm)
 	words := (cm.Halves()*cm.Columns()*cm.DataWidth() + 63) / 64
+	m := newBurstMap(cm, words)
 	charge := make([]uint64, words)
 	for w := range charge {
 		charge[w] = s.next()
@@ -194,10 +194,24 @@ func TestBurstKernelsSplitStraddlingFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newBurstMap(cm)
+	m := newBurstMap(cm, 2)
 	if runs, fields := len(m.segs), cm.Halves()*cm.Columns()*cm.ServingMATs(); runs <= fields {
 		t.Fatalf("%d runs for %d fields: no field straddles a word", runs, fields)
 	}
 	s := xorshift(9)
 	checkBurstMap(t, cm, &s)
+}
+
+// A WR to every column of one half overwrites the whole wordline
+// exactly on the uncoupled geometries: a coupled row is half a
+// wordline. writeBatch drops the faults parked on a row only there.
+func TestWholeRowCoverage(t *testing.T) {
+	for _, p := range append(topo.Catalog(), topo.Small(), uncoupledSmall()) {
+		c := MustNew(p, 1)
+		for half, whole := range c.burst.wholeRow {
+			if whole == p.Coupled {
+				t.Errorf("%s (coupled %v): half %d covers the whole wordline: %v", p.Name, p.Coupled, half, whole)
+			}
+		}
+	}
 }

@@ -17,6 +17,26 @@
 // (activating a victim restores its cells, which is why real RowHammer
 // requires the victim row to stay closed).
 //
+// Touching a row is two steps. The restore step takes the counter
+// deltas and the interval since the last restore, decides which
+// mechanisms can flip a cell, and re-snapshots the row; the apply step
+// runs those faults through the kernels (applyFaults, applyRetention).
+// A pulse train, a REF and a charge-sharing ACT apply at once. Any
+// other ACT parks its application on the bank: while the row is open
+// no ACT, REF or pulse can run on the bank, so every input of the
+// application (the row's own charge, its neighbours' charges and
+// counters, the interval, the draws) stays fixed. The parked faults
+// are applied before the first access that observes the open row's
+// charge or changes only part of it: a RD, a scalar WR, a WR batch
+// that does not cover the whole row, or the PRE. A WR batch over every
+// column, from column 0 at stride 1, on a device whose bursts cover
+// every cell of the wordline (burstMap.wholeRow: every uncoupled
+// geometry) discards them instead. It sets each cell to the written
+// data whatever flipped, so those flips, and the draw tables they
+// would build, are never computed. AIB measurements rewrite their
+// victim and aggressor rows before every hammer, which is where this
+// saves the most.
+//
 // # Command execution
 //
 // Exec applies one timed command and is the reference implementation.
@@ -99,6 +119,11 @@ type bank struct {
 	latched   []uint64 // that charge: the row's own words, or latchBuf once snapshot
 	latchBuf  []uint64 // snapshot storage (see snapshotLatch)
 
+	// parked is the fault application the open row's ACT deferred (see
+	// the package doc); parked.rs is nil when none is pending. It only
+	// exists while a row is open.
+	parked faultApp
+
 	// Per-wordline bookkeeping, dense-indexed by physical wordline.
 	// touched lists the wordlines holding state (insertion order), so
 	// refresh and Reset walk only what was used.
@@ -131,6 +156,21 @@ type rowState struct {
 	lastRestore        sim.Time
 }
 
+// faultApp is the fault application one restore of a wordline owes:
+// the neighbor counter deltas and the interval since the row's previous
+// restore, and which mechanisms they make live. restore computes it,
+// apply runs it through the kernels.
+type faultApp struct {
+	bankID, wl           int
+	rs                   *rowState
+	dUpActs, dDownActs   int64
+	dUpPress, dDownPress float64
+	elapsed              sim.Time
+	upOK, downOK         bool
+	hammerOn, pressOn    bool
+	hasRet               bool
+}
+
 // New builds a chip from a device profile with the given fault seed.
 func New(prof topo.Profile, seed uint64) (*Chip, error) {
 	t, err := prof.Build()
@@ -154,11 +194,11 @@ func New(prof topo.Profile, seed uint64) (*Chip, error) {
 		maxPressF:  fp.MaxPressFactor(),
 		retMin:     sim.Time(fp.RetentionMinSec * float64(sim.Second)),
 		retScale:   fp.RetentionScale(),
-		burst:      newBurstMap(cm),
 	}
 	if prof.RowBits%64 != 0 {
 		return nil, fmt.Errorf("chip: RowBits %d is not word-aligned", prof.RowBits)
 	}
+	c.burst = newBurstMap(cm, c.words)
 	c.flipMask = make([]uint64, c.words)
 	physRows := t.PhysRows()
 	for i := 0; i < prof.Banks; i++ {
@@ -372,11 +412,14 @@ func (c *Chip) activate(bankID, row int, t sim.Time) error {
 
 	gap := t - b.lastPre
 	if wl == b.latchWL {
-		c.snapshotLatch(b, t) // materialize may change the latched row
+		c.snapshotLatch(b, t) // applying the row's faults may change the latched row
 	}
-	rs := c.materialize(bankID, wl, t)
+	f := c.restore(bankID, wl, t)
 	if b.latchWL >= 0 && gap <= c.timing.RowCopyMaxGap {
-		c.chargeShare(b, rs, wl)
+		c.apply(&f)
+		c.chargeShare(b, f.rs, wl)
+	} else if f.hammerOn || f.pressOn || f.hasRet {
+		b.parked = f
 	}
 
 	b.acts[wl]++
@@ -456,6 +499,7 @@ func (c *Chip) precharge(bankID int, t sim.Time) error {
 		b.press[wl] += float64(over)
 	}
 	// Latch the bitline state for a potential RowCopy.
+	c.flush(b)
 	b.latch(wl, c.rowStateFor(b, wl), t)
 	b.openWL = -1
 	return nil
@@ -466,6 +510,7 @@ func (c *Chip) read(bankID, col int, t sim.Time) (uint64, error) {
 	if err := c.checkColumnAccess(b, col, t); err != nil {
 		return 0, err
 	}
+	c.flush(b)
 	rs := c.rowStateFor(b, b.openWL)
 	return c.burst.read(rs.charge, col, b.openHalf) ^ c.polarity(b), nil
 }
@@ -491,6 +536,7 @@ func (c *Chip) write(bankID, col int, data uint64, t sim.Time) error {
 	if err := c.checkColumnAccess(b, col, t); err != nil {
 		return err
 	}
+	c.flush(b)
 	rs := c.rowStateFor(b, b.openWL)
 	c.burst.store(rs.charge, col, b.openHalf, c.burst.image(data^c.polarity(b)))
 	return nil
@@ -520,6 +566,7 @@ func (c *Chip) readBatch(b sim.Batch, out []uint64) error {
 	if err := c.checkBatchColumns(bank, b); err != nil {
 		return err
 	}
+	c.flush(bank)
 	rs := c.rowStateFor(bank, bank.openWL)
 	inv := c.polarity(bank)
 	col := b.Col
@@ -533,11 +580,18 @@ func (c *Chip) readBatch(b sim.Batch, out []uint64) error {
 
 // writeBatch is the WR kernel. A burst is permuted into image order
 // only when it differs from the previous one, so a broadcast or solid
-// fill permutes once per batch.
+// fill permutes once per batch. A batch that overwrites every cell of
+// the wordline discards the faults parked on it; any other applies
+// them first.
 func (c *Chip) writeBatch(b sim.Batch) error {
 	bank := c.banks[b.Bank]
 	if err := c.checkBatchColumns(bank, b); err != nil {
 		return err
+	}
+	if b.Col == 0 && b.Stride == 1 && b.Count == c.cmap.Columns() && c.burst.wholeRow[bank.openHalf] {
+		bank.parked.rs = nil
+	} else {
+		c.flush(bank)
 	}
 	rs := c.rowStateFor(bank, bank.openWL)
 	inv := c.polarity(bank)
@@ -588,7 +642,8 @@ func (c *Chip) refresh(bankID int, t sim.Time) error {
 // Pulse issues n back-to-back ACT(row)/PRE pairs, each keeping the row
 // open for tOn with a tGap precharge gap, starting at the current
 // time. It is semantically identical to the explicit command loop
-// (asserted by tests) but costs O(1).
+// (asserted by tests) but costs one materialize of the row and at most
+// one retention scan, whatever n.
 //
 // tGap must exceed RowCopyMaxGap: a hammer loop precharges fully
 // between activations; use explicit commands to exercise RowCopy.
@@ -625,6 +680,15 @@ func (c *Chip) pulse(bankID, row, n int, tOn, tGap sim.Time) error {
 		c.now = earliest
 	}
 	rs := c.materialize(bankID, wl, c.now)
+	// Each later ACT of the loop restores the row one period after the
+	// one before, with no neighbour activated in between: retention
+	// clears the cells whose retention time is below one period, at the
+	// second ACT, and nothing after. The last ACT is the row's restore.
+	period := tOn + tGap
+	if n >= 2 && period > c.retMin {
+		c.applyRetention(bankID, b, rs, wl, period)
+	}
+	rs.lastRestore = c.now + sim.Time(n-1)*period
 
 	b.acts[wl] += int64(n)
 	perWL := int64(1)
@@ -635,7 +699,7 @@ func (c *Chip) pulse(bankID, row, n int, tOn, tGap sim.Time) error {
 	if over := tOn - c.timing.TRAS; over > 0 {
 		b.press[wl] += float64(over) * float64(n)
 	}
-	end := c.now + sim.Time(n)*(tOn+tGap)
+	end := c.now + sim.Time(n)*period
 	b.latch(wl, rs, end)
 	c.now = end
 	return nil
@@ -646,6 +710,24 @@ func (c *Chip) pulse(bankID, row, n int, tOn, tGap sim.Time) error {
 // materialize applies all pending fault effects (hammer, press,
 // retention) to a wordline and re-snapshots it as restored at time t.
 func (c *Chip) materialize(bankID, wl int, t sim.Time) *rowState {
+	f := c.restore(bankID, wl, t)
+	c.apply(&f)
+	return f.rs
+}
+
+// flush applies the fault application parked by the open row's ACT,
+// if any. Every access that observes the open row's charge, or changes
+// only part of it, calls it first.
+func (c *Chip) flush(b *bank) {
+	if b.parked.rs != nil {
+		c.apply(&b.parked)
+		b.parked.rs = nil
+	}
+}
+
+// restore re-snapshots a wordline as restored at time t and returns the
+// fault application it owes, without applying it.
+func (c *Chip) restore(bankID, wl int, t sim.Time) faultApp {
 	b := c.banks[bankID]
 	fresh := b.rows[wl] == nil
 	rs := c.rowStateFor(b, wl)
@@ -654,17 +736,16 @@ func (c *Chip) materialize(bankID, wl int, t sim.Time) *rowState {
 	upOK := upWL < c.topo.PhysRows() && c.topo.SameSubarray(wl, upWL)
 	downOK := downWL >= 0 && c.topo.SameSubarray(wl, downWL)
 
-	var dUpActs, dDownActs int64
-	var dUpPress, dDownPress float64
+	f := faultApp{bankID: bankID, wl: wl, rs: rs,
+		elapsed: t - rs.lastRestore, upOK: upOK, downOK: downOK}
 	if upOK {
-		dUpActs = b.acts[upWL] - rs.snapUp
-		dUpPress = b.press[upWL] - rs.pressUp
+		f.dUpActs = b.acts[upWL] - rs.snapUp
+		f.dUpPress = b.press[upWL] - rs.pressUp
 	}
 	if downOK {
-		dDownActs = b.acts[downWL] - rs.snapDown
-		dDownPress = b.press[downWL] - rs.pressDown
+		f.dDownActs = b.acts[downWL] - rs.snapDown
+		f.dDownPress = b.press[downWL] - rs.pressDown
 	}
-	elapsed := t - rs.lastRestore
 
 	// Classify which mechanisms can possibly flip a cell. The stress
 	// floors in the fault model (HammerMinStress, PressMinStress) make
@@ -677,21 +758,9 @@ func (c *Chip) materialize(bankID, wl int, t sim.Time) *rowState {
 	// Retention only clears charged cells, and a row this call creates
 	// holds none, so a fresh row skips it outright; hammer and press
 	// still apply, since they also flip discharged cells.
-	hammerOn := float64(dUpActs+dDownActs)*c.maxHammerF >= c.fp.HammerMinStress
-	pressOn := (dUpPress+dDownPress)*c.maxPressF >= c.fp.PressMinStress
-	hasRet := !fresh && elapsed > c.retMin
-
-	if hammerOn || pressOn {
-		c.applyFaults(bankID, b, rs, wl,
-			dUpActs, dDownActs, dUpPress, dDownPress, elapsed, upOK, downOK,
-			hammerOn, pressOn, hasRet)
-	} else if hasRet {
-		// Retention is the only live mechanism and it only clears
-		// charged cells, so scan the charge words and skip the empty
-		// ones — the common case for rows touched long after their
-		// last restore but never hammered.
-		c.applyRetention(bankID, b, rs, wl, elapsed)
-	}
+	f.hammerOn = float64(f.dUpActs+f.dDownActs)*c.maxHammerF >= c.fp.HammerMinStress
+	f.pressOn = (f.dUpPress+f.dDownPress)*c.maxPressF >= c.fp.PressMinStress
+	f.hasRet = !fresh && f.elapsed > c.retMin
 
 	if upOK {
 		rs.snapUp = b.acts[upWL]
@@ -702,33 +771,48 @@ func (c *Chip) materialize(bankID, wl int, t sim.Time) *rowState {
 		rs.pressDown = b.press[downWL]
 	}
 	rs.lastRestore = t
-	return rs
+	return f
+}
+
+// apply runs a restore's fault application through the kernels.
+func (c *Chip) apply(f *faultApp) {
+	if f.hammerOn || f.pressOn {
+		c.applyFaults(f)
+	} else if f.hasRet {
+		// Retention is the only live mechanism and it only clears
+		// charged cells, so scan the charge words and skip the empty
+		// ones — the common case for rows touched long after their
+		// last restore but never hammered.
+		c.applyRetention(f.bankID, c.banks[f.bankID], f.rs, f.wl, f.elapsed)
+	}
 }
 
 // applyFaults is the AIB kernel: retention first, then hammer and press
 // on every candidate cell retention left standing.
-func (c *Chip) applyFaults(bankID int, b *bank, rs *rowState, wl int,
-	dUpActs, dDownActs int64, dUpPress, dDownPress float64,
-	elapsed sim.Time, upOK, downOK bool, hammerOn, pressOn, hasRet bool) {
+func (c *Chip) applyFaults(f *faultApp) {
+	bankID, b, rs, wl := f.bankID, c.banks[f.bankID], f.rs, f.wl
+	hammerOn, pressOn, hasRet := f.hammerOn, f.pressOn, f.hasRet
 
 	// A mechanism whose accumulated stress is below its floor cannot
 	// flip any cell (its per-cell stress is bounded by the floor
 	// check in HammerFlips/PressFlips); zeroing its deltas skips the
 	// factor computation without changing any flip decision.
-	if !hammerOn {
-		dUpActs, dDownActs = 0, 0
+	var dUpActs, dDownActs int64
+	var dUpPress, dDownPress float64
+	if hammerOn {
+		dUpActs, dDownActs = f.dUpActs, f.dDownActs
 	}
-	if !pressOn {
-		dUpPress, dDownPress = 0, 0
+	if pressOn {
+		dUpPress, dDownPress = f.dUpPress, f.dDownPress
 	}
 
 	var upCharge, downCharge []uint64
-	if upOK {
+	if f.upOK {
 		if s := b.rows[wl+1]; s != nil {
 			upCharge = s.charge
 		}
 	}
-	if downOK {
+	if f.downOK {
 		if s := b.rows[wl-1]; s != nil {
 			downCharge = s.charge
 		}
@@ -760,7 +844,7 @@ func (c *Chip) applyFaults(bankID int, b *bank, rs *rowState, wl int,
 	// and skips the screen — and the retention table.
 	var ret retentionScan
 	if hasRet {
-		ret = c.newRetentionScan(bankID, b, wl, elapsed)
+		ret = c.newRetentionScan(bankID, b, wl, f.elapsed)
 	}
 
 	fm := c.flipMask
@@ -888,8 +972,10 @@ func (c *Chip) applyRetention(bankID int, b *bank, rs *rowState, wl int, elapsed
 // --- test/inspection helpers ---
 
 // InspectCharge returns the raw stored charge of a cell without
-// materializing pending faults. For tests and ground-truth validation
-// only; probes must use RD.
+// materializing pending faults. That includes the faults an ACT parked
+// on a row that is still open: they are applied at the row's first RD,
+// partial WR or PRE. For tests and ground-truth validation only;
+// probes must use RD.
 func (c *Chip) InspectCharge(bankID, wl, x int) bool {
 	b := c.banks[bankID]
 	rs := b.rows[wl]

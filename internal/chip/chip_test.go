@@ -422,47 +422,68 @@ func TestVictimActivationResets(t *testing.T) {
 	}
 }
 
-// Pulse must be exactly equivalent to the explicit ACT/PRE loop.
+// Pulse must be exactly equivalent to the explicit ACT/PRE loop: the
+// same aggressor charge right after the train (a neighbour's next
+// materialize reads it) and the same victim readback. The second case
+// spaces its ACTs further apart than the shortest retention time, so
+// the loop's second ACT decays the charged aggressor's weakest cells.
 func TestPulseEquivalentToExplicitLoop(t *testing.T) {
 	prof := topo.Small()
 	tp := prof.MustBuild()
-	aggr := tp.UnmapRow(50, 0)
-	victim := tp.UnmapRow(51, 0)
-	const n = 150_000
+	const aggrWL = 50
+	aggr := tp.UnmapRow(aggrWL, 0)
+	victim := tp.UnmapRow(aggrWL+1, 0)
+	tm := MustNew(prof, 3).Timing()
 
-	run := func(pulse bool) []uint64 {
-		h := newTB(t, prof, 3)
-		all1 := uint64(1)<<uint(h.c.DataWidth()) - 1
-		h.writeRow(0, victim, all1)
-		h.writeRow(0, aggr, 0)
-		h.step(sim.Nanosecond)
-		_ = h.c.AdvanceTo(h.at)
-		tOn, tGap := h.c.Timing().TRAS, h.c.Timing().TRP
-		if pulse {
-			if err := h.c.Pulse(0, aggr, n, tOn, tGap); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			at := h.c.Now()
-			for i := 0; i < n; i++ {
-				if _, err := h.c.Exec(sim.Command{Op: sim.ACT, At: at, Bank: 0, Row: aggr}); err != nil {
+	for _, tc := range []struct {
+		n         int
+		tOn, tGap sim.Time
+		aggrData  uint64
+	}{
+		{150_000, tm.TRAS, tm.TRP, 0},
+		{4, tm.TRAS, 150 * sim.Millisecond, 0xffffffff},
+	} {
+		run := func(pulse bool) (aggrCharge, victimData []uint64) {
+			h := newTB(t, prof, 3)
+			all1 := uint64(1)<<uint(h.c.DataWidth()) - 1
+			h.writeRow(0, victim, all1)
+			h.writeRow(0, aggr, tc.aggrData)
+			h.step(sim.Nanosecond)
+			_ = h.c.AdvanceTo(h.at)
+			if pulse {
+				if err := h.c.Pulse(0, aggr, tc.n, tc.tOn, tc.tGap); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := h.c.Exec(sim.Command{Op: sim.PRE, At: at + tOn, Bank: 0}); err != nil {
-					t.Fatal(err)
+			} else {
+				at := h.c.Now()
+				for i := 0; i < tc.n; i++ {
+					if _, err := h.c.Exec(sim.Command{Op: sim.ACT, At: at, Bank: 0, Row: aggr}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := h.c.Exec(sim.Command{Op: sim.PRE, At: at + tc.tOn, Bank: 0}); err != nil {
+						t.Fatal(err)
+					}
+					at += tc.tOn + tc.tGap
 				}
-				at += tOn + tGap
+				_ = h.c.AdvanceTo(at)
 			}
-			_ = h.c.AdvanceTo(at)
+			h.at = h.c.Now()
+			aggrCharge = append([]uint64(nil), h.c.banks[0].rows[aggrWL].charge...)
+			return aggrCharge, h.readRow(0, victim)
 		}
-		h.at = h.c.Now()
-		return h.readRow(0, victim)
-	}
 
-	a, b := run(true), run(false)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("col %d: pulse %#x != explicit %#x", i, a[i], b[i])
+		pa, pv := run(true)
+		la, lv := run(false)
+		for w := range pa {
+			if pa[w] != la[w] {
+				t.Fatalf("%d pulses of %v/%v: aggressor word %d holds %#x after Pulse, %#x after the loop",
+					tc.n, tc.tOn, tc.tGap, w, pa[w], la[w])
+			}
+		}
+		for i := range pv {
+			if pv[i] != lv[i] {
+				t.Fatalf("%d pulses of %v/%v: col %d: pulse %#x != explicit %#x", tc.n, tc.tOn, tc.tGap, i, pv[i], lv[i])
+			}
 		}
 	}
 }
@@ -584,6 +605,15 @@ func TestVendorScales(t *testing.T) {
 	if a.FaultParams().BaseScale <= b.FaultParams().BaseScale {
 		t.Fatal("vendor A should have the highest base AIB rate")
 	}
+}
+
+// uncoupledSmall is topo.Small with one logical row per wordline, so a
+// whole-row WR batch covers every cell and drops the faults its ACT
+// parked.
+func uncoupledSmall() topo.Profile {
+	p := topo.Small()
+	p.Coupled = false
+	return p
 }
 
 func mustProfile(t testing.TB, name string) topo.Profile {

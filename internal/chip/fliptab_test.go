@@ -112,7 +112,9 @@ func runFaultTrial(t testing.TB, c *Chip, wl int, pre, up, down []uint64,
 // A never-written victim first touched after the retention floor takes
 // materialize's fresh-row branch, which skips retention, while its
 // aggressor's 2M pulses keep the hammer live. It must still match the
-// scalar reference bit for bit, discharged-cell flips included.
+// scalar reference bit for bit, discharged-cell flips included. The ACT
+// parks the flips, so the charge is compared after the PRE, the first
+// command that observes it.
 func TestFreshVictimMatchesReference(t *testing.T) {
 	h := newTB(t, topo.Small(), 21)
 	c := h.c
@@ -149,13 +151,13 @@ func TestFreshVictimMatchesReference(t *testing.T) {
 	if h.at != tAct {
 		t.Fatalf("ACT issued at %v, reference taken at %v", h.at, tAct)
 	}
+	h.pre(0)
 	got := b.rows[victim].charge
 	for w := range want {
 		if got[w] != want[w] {
 			t.Fatalf("word %d: fresh victim %#x, scalar reference %#x", w, got[w], want[w])
 		}
 	}
-	h.pre(0)
 }
 
 // bandElapsed returns an interval within a picosecond of the retention

@@ -212,3 +212,33 @@ func BenchmarkWriteRow(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.c.Columns()), "ns/burst")
 }
+
+// BenchmarkRewriteHammeredRow times the rewrite an AIB measurement
+// starts with, on an uncoupled device: a neighbour hammered past the
+// stress floor, then ACT, one whole-row WR batch and PRE on the victim.
+// The batch overwrites every cell of the wordline, so the hammer's
+// flips, which the victim's ACT parked, are dropped, never computed.
+func BenchmarkRewriteHammeredRow(b *testing.B) {
+	r := &rig{c: MustNew(uncoupledSmall(), 14)}
+	victim, aggr := perfRows(r)
+	data := []uint64{allOnes(r)}
+	rewrite := func() {
+		r.at += sim.Nanosecond
+		if err := r.c.AdvanceTo(r.at); err != nil {
+			panic(err)
+		}
+		if err := r.c.Pulse(0, aggr, 300_000, r.c.Timing().TRAS, r.c.Timing().TRP); err != nil {
+			panic(err)
+		}
+		r.at = r.c.Now()
+		r.act(0, victim)
+		r.rowBatch(sim.WR, 0, data, nil)
+		r.pre(0)
+	}
+	rewrite()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rewrite()
+	}
+}
