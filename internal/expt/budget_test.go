@@ -2,8 +2,6 @@ package expt
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -11,10 +9,10 @@ import (
 	"dramscope/internal/trace"
 )
 
-// budgetSuite is a pure device-chain suite (no free-floating
-// experiments), so with -jobs 1 a budget stop is fully deterministic:
-// the chain head pays the warm-up, crosses a tiny cap, and everything
-// after it fails fast in registration order.
+// budgetSuite is two experiments on one shared device and nothing
+// else, so a budget stop is fully deterministic: the device's warm-up
+// pays the probe chain and crosses a tiny cap, and both experiments
+// report its error.
 func budgetSuite(t *testing.T, seed uint64) *Suite {
 	t.Helper()
 	s := NewSuite(seed)
@@ -49,9 +47,9 @@ func budgetSuite(t *testing.T, seed uint64) *Suite {
 	return s
 }
 
-// TestBudgetEnforcedTinyCap: with a cap of one activation the chain
-// head's probe warm-up is the offending step — it fails with the typed
-// *BudgetError, the rest of the chain fails fast without running, the
+// TestBudgetEnforcedTinyCap: with a cap of one activation the device's
+// probe warm-up is the offending step — every experiment on the device
+// fails with its typed *BudgetError, unwrapped, without running; the
 // run fails as a whole, and the metered usage is reported.
 func TestBudgetEnforcedTinyCap(t *testing.T) {
 	t.Parallel()
@@ -70,19 +68,15 @@ func TestBudgetEnforcedTinyCap(t *testing.T) {
 	if be.Cap != 1 || be.Used <= 1 {
 		t.Fatalf("budget error = %+v, want cap 1 and used > 1", be)
 	}
-	// The chain head is the offending experiment and carries the typed
-	// error; its chain successor is skipped with the usual dependency
-	// blame (deterministic, and still rooted in the budget stop).
-	byName := map[string]*ExptResult{}
+	// Both experiments carry the warm-up's own budget error, as is: the
+	// warm-up failed, not either experiment, and neither ran.
 	for _, res := range rep.Results {
-		byName[res.Name] = res
-	}
-	var typed *BudgetError
-	if err := byName["head"].Err; err == nil || !errors.As(err, &typed) {
-		t.Fatalf("head: err = %v, want a *BudgetError", err)
-	}
-	if err := byName["tail"].Err; err == nil || err.Error() != "skipped: dependency head failed" {
-		t.Fatalf("tail: err = %v, want the dependency skip", err)
+		if got, ok := res.Err.(*BudgetError); !ok || *got != *be {
+			t.Fatalf("%s: err = %v, want the warm-up's %v", res.Name, res.Err, be)
+		}
+		if res.Text != "" {
+			t.Fatalf("%s ran after the warm-up failed: %q", res.Name, res.Text)
+		}
 	}
 	if used := s.ActivationsUsed(); used != be.Used {
 		t.Fatalf("ActivationsUsed = %d, budget error recorded %d", used, be.Used)
@@ -130,10 +124,10 @@ func TestBudgetGenerousCapUnchanged(t *testing.T) {
 }
 
 // TestBudgetStopsUnwarmedPartition: when the budget is blown before a
-// partitioned experiment's device was ever warmed (all its shards fail
-// their pre-flight), the merge node must not warm the device itself —
-// the probe chain is exactly the work the budget bounds. The meter
-// must not move after the crossing.
+// partitioned experiment's device was ever warmed, that device's warm
+// node fails its pre-flight and must not probe — the probe chain is
+// exactly the work the budget bounds. The merge reports that budget
+// error as is, and the meter must not move after the crossing.
 func TestBudgetStopsUnwarmedPartition(t *testing.T) {
 	t.Parallel()
 	s := NewSuite(7)
@@ -146,7 +140,7 @@ func TestBudgetStopsUnwarmedPartition(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// A second device: its chain is never reached within budget, so
+	// A second device: its warm-up is never reached within budget, so
 	// its probe chain must never be issued.
 	other := topo.Small()
 	other.Name = "Small-test-2"
@@ -173,19 +167,20 @@ func TestBudgetStopsUnwarmedPartition(t *testing.T) {
 	if be == nil {
 		t.Fatalf("no budget error: %v", rep.Err())
 	}
-	if got := rep.Results[1].Err; got == nil || !strings.HasPrefix(got.Error(), "unit 0/2: activation budget exceeded") {
-		t.Fatalf("partition error = %v, want the unit 0 budget failure", got)
+	if got, ok := rep.Results[1].Err.(*BudgetError); !ok || *got != *be {
+		t.Fatalf("partition error = %v, want the warm-up's %v", rep.Results[1].Err, be)
 	}
-	// The meter froze at the first crossing: the merge did not warm
-	// the second device's probe chain behind the budget's back.
+	// The meter froze at the first crossing: nothing warmed the second
+	// device's probe chain behind the budget's back.
 	if used := s.ActivationsUsed(); used != be.Used {
 		t.Fatalf("meter moved after the crossing: used %d, crossing recorded %d — the cold device was probed", used, be.Used)
 	}
 }
 
-// TestBudgetPartitionUnits: a partitioned experiment under a tiny cap
-// surfaces the typed budget error through its merge step (unit 0 is
-// the deterministic blame at one worker).
+// TestBudgetPartitionUnits: a partitioned experiment whose device's
+// warm-up crosses a tiny cap surfaces that typed budget error through
+// its merge step, unwrapped — no unit ran, so none is blamed — and no
+// unit moves the meter past the crossing.
 func TestBudgetPartitionUnits(t *testing.T) {
 	t.Parallel()
 	s := NewSuite(7)
@@ -218,8 +213,11 @@ func TestBudgetPartitionUnits(t *testing.T) {
 	if be == nil {
 		t.Fatalf("partition did not surface a typed budget error: %v", rep.Err())
 	}
-	if want := fmt.Sprintf("unit 0/4: %s", be.Error()); rep.Results[0].Err.Error() != want {
-		t.Fatalf("merge error = %q, want %q", rep.Results[0].Err, want)
+	if got, ok := rep.Results[0].Err.(*BudgetError); !ok || *got != *be {
+		t.Fatalf("merge error = %v, want the warm-up's %v", rep.Results[0].Err, be)
+	}
+	if used := s.ActivationsUsed(); used != be.Used {
+		t.Fatalf("meter moved after the crossing: used %d, crossing recorded %d", used, be.Used)
 	}
 }
 

@@ -85,8 +85,9 @@ func (p *probeCell[T]) peek() (v T) {
 // the cached result. The probes form a chain (Order -> Subarrays ->
 // Cells -> Swizzle), so concurrent callers of different accessors
 // serialize through the shared prefix. Measurements (AIB runs etc.)
-// mutate device state and are NOT safe to run concurrently on one Env;
-// the Suite scheduler serializes experiments that share a device.
+// mutate device state and are NOT safe to run concurrently on one Env:
+// the Suite drives a device's shared Env only from that device's warm
+// node, and every experiment and unit measures on its own Clone.
 type Env struct {
 	Prof topo.Profile
 	Chip *chip.Chip
@@ -332,17 +333,8 @@ func (e *Env) WarmStored(st *store.Store, level ProbeLevel) error {
 			}
 		}
 	}
-	pre := e.Commands()
 	if err := e.Warm(level); err != nil {
 		return err
-	}
-	if e.Commands() == pre {
-		// This call issued no commands: every probe it needed had
-		// already completed (a concurrent caller probed and will
-		// persist the result). Skipping the save keeps a cold run's
-		// fanned-out shard nodes from each re-writing the identical
-		// entry.
-		return nil
 	}
 	if ps, ok := e.ExportProbes(level); ok {
 		// Best-effort: a full store disk or permission problem must

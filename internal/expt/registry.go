@@ -24,9 +24,9 @@ const (
 //
 // Scheduling shape: the seven Table III recoveries run on seven
 // distinct devices and parallelize fully; the figure experiments share
-// the figProfile device (reusing its probe chain) and serialize among
-// themselves; fig5 and defense build their own modules/devices and
-// float freely.
+// the figProfile device, whose one warm node probes it once, and then
+// run concurrently, each on its own clone; fig5 and defense build
+// their own modules/devices and float freely.
 func DefaultSuite(figProfile string, seed uint64) (*Suite, error) {
 	figProf, ok := topo.ByName(figProfile)
 	if !ok {

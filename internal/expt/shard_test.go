@@ -261,35 +261,46 @@ func TestCrossShardUnitFailure(t *testing.T) {
 	}
 }
 
-// TestCrossShardEnvFailureSurfacesRootCause checks that when a
-// partitioned experiment cannot get its device Env (or warm it), the
-// visible result carries the real error — not a self-referential
-// "skipped: dependency <self> failed" pointing at hidden shard nodes
-// the report omits.
+// TestCrossShardEnvFailureSurfacesRootCause checks that when the
+// device of a partitioned or a monolithic experiment cannot be built
+// (or warmed), the visible result carries the warm-up's real error —
+// not a self-referential "skipped: dependency <self> failed" pointing
+// at hidden shard nodes the report omits, nor a unit failure — for any
+// worker and shard count.
 func TestCrossShardEnvFailureSurfacesRootCause(t *testing.T) {
 	t.Parallel()
-	for _, shards := range []int{1, 4} {
-		s := NewSuite(1)
-		if err := s.Register(Experiment{
-			Name:  "ghostly",
-			Needs: Needs{Device: "ghost-device"},
-			Part: &Partition{
-				Units: 4,
-				Unit:  func(*ShardJob) (interface{}, error) { return nil, nil },
-				Merge: func(*Job, []interface{}) error { return nil },
-			},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run(Options{Spec: RunSpec{Jobs: 2, Shards: shards}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The device failure is reported as is: neither a skip nor
-		// wrapped as a unit failure.
-		got := rep.Results[0].Err
-		if want := `suite: unknown device profile "ghost-device"`; got == nil || got.Error() != want {
-			t.Errorf("shards=%d: visible error %v, want %q", shards, got, want)
+	for _, jobs := range []int{1, 4} {
+		for _, shards := range []int{1, 4} {
+			s := NewSuite(1)
+			if err := s.Register(Experiment{
+				Name:  "ghostly",
+				Needs: Needs{Device: "ghost-device"},
+				Part: &Partition{
+					Units: 4,
+					Unit:  func(*ShardJob) (interface{}, error) { return nil, nil },
+					Merge: func(*Job, []interface{}) error { return nil },
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Register(Experiment{
+				Name:  "haunted",
+				Needs: Needs{Device: "ghost-device"},
+				Run:   func(*Job) error { return nil },
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run(Options{Spec: RunSpec{Jobs: jobs, Shards: shards}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The device failure is reported as is: neither a skip nor
+			// wrapped as a unit failure.
+			for _, res := range rep.Results {
+				if want := `suite: unknown device profile "ghost-device"`; res.Err == nil || res.Err.Error() != want {
+					t.Errorf("jobs=%d shards=%d: %s error %v, want %q", jobs, shards, res.Name, res.Err, want)
+				}
+			}
 		}
 	}
 }

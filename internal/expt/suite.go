@@ -8,16 +8,16 @@
 //   - every experiment draws its randomness from its own seed, split
 //     from the suite seed by name (rng.Split) — never from shared
 //     generator state;
-//   - experiments that share a device (Needs.Device) run serially in
-//     registration order against one shared Env, whose probe chain is
-//     warmed to the deepest level any of them declares (through the
-//     artifact store, when one is configured) before the first one
-//     measures; each then measures on its own pristine clone of that
+//   - experiments that share a device (Needs.Device) share one Env,
+//     which only the device's warm node drives: it warms the probe
+//     chain to the deepest level any of them declares (through the
+//     artifact store, when one is configured) before any of them
+//     runs, and each then measures on its own pristine clone of that
 //     Env — fresh device state, probe cache primed read-only — so no
 //     measurement can observe another's (or the probes') residue, and
 //     a store-warmed run is byte-identical to a freshly probed one;
-//   - experiments on different devices touch disjoint state and may
-//     interleave freely;
+//   - experiments therefore touch disjoint state and may interleave
+//     freely, on one device as across devices;
 //   - partitioned experiments (Partition) shard below the device
 //     level: every unit is independently seeded (rng.SplitN by unit
 //     index) and measures on its own pristine device clone, so the
@@ -49,15 +49,15 @@ import (
 
 // Needs declares an experiment's scheduling requirements.
 type Needs struct {
-	// Device names a topo profile. Experiments that share a Device run
-	// serially, in registration order, against one shared Env; the
-	// empty string means the experiment manages its own devices and
-	// can run concurrently with everything it has no After edge to.
+	// Device names a topo profile. Experiments that share a Device
+	// measure on their own clones of one shared, warmed Env; the empty
+	// string means the experiment manages its own devices. Either way
+	// it runs concurrently with everything it has no After edge to.
 	Device string
 	// Probe is the deepest probe-chain level the experiment reads from
 	// the shared Env. The scheduler warms the Env to the maximum level
-	// declared across the device's selected experiments before the
-	// first of them runs.
+	// declared across the device's selected experiments before any of
+	// them runs.
 	Probe ProbeLevel
 	// After lists experiments that must complete first (their results
 	// are visible through Job.Result). Selecting an experiment
@@ -261,22 +261,17 @@ type Suite struct {
 
 	// budgetCap is the run's activation budget (Spec.MaxActivations);
 	// 0 means unlimited. actsUsed meters the ACT commands the run has
-	// been charged for so far — probe-chain deltas per shared Env
-	// (tracked in envCharged so a warm-up is charged exactly once) plus
-	// each experiment's and unit's measurement clone. All three are
-	// guarded by mu.
-	budgetCap  int64
-	actsUsed   int64
-	envCharged map[*Env]int64
+	// been charged for so far — each device's probe chain, charged
+	// once by its warm node, plus each experiment's and unit's
+	// measurement clone. Both are guarded by mu.
+	budgetCap int64
+	actsUsed  int64
 
 	// Tracing (nil when the run is untraced). exptSpans maps visible
 	// experiment names to their spans; it is built before the worker
 	// pool starts and read-only afterwards, so workers need no lock.
-	// warmLevel records the per-device probe level plan computed, for
-	// the warm spans' attributes.
 	traceSpan *trace.Span
 	exptSpans map[string]*trace.Span
-	warmLevel map[string]ProbeLevel
 
 	mu      sync.Mutex
 	envs    map[string]*Env
@@ -286,12 +281,11 @@ type Suite struct {
 // NewSuite creates an empty suite with the given base seed.
 func NewSuite(seed uint64) *Suite {
 	return &Suite{
-		seed:       seed,
-		idx:        make(map[string]int),
-		profiles:   make(map[string]topo.Profile),
-		envs:       make(map[string]*Env),
-		envCharged: make(map[*Env]int64),
-		results:    make(map[string]interface{}),
+		seed:     seed,
+		idx:      make(map[string]int),
+		profiles: make(map[string]topo.Profile),
+		envs:     make(map[string]*Env),
+		results:  make(map[string]interface{}),
 	}
 }
 
@@ -435,29 +429,6 @@ func (s *Suite) selectionSet(only []string) (map[string]bool, error) {
 	return selected, nil
 }
 
-// env returns the shared Env for a device profile, creating it on
-// first use with a seed split from the suite seed by device name.
-func (s *Suite) env(device string) (*Env, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.envs[device]; ok {
-		return e, nil
-	}
-	prof, ok := s.profiles[device]
-	if !ok {
-		prof, ok = topo.ByName(device)
-	}
-	if !ok {
-		return nil, fmt.Errorf("suite: unknown device profile %q", device)
-	}
-	e, err := NewEnv(prof, rng.Split(s.seed, "env:"+device))
-	if err != nil {
-		return nil, err
-	}
-	s.envs[device] = e
-	return e, nil
-}
-
 // ProbeCost aggregates the command totals of every shared device Env
 // the run created. Only the probe chain ever drives those Envs'
 // hosts (measurements run on clones, which carry their own counters),
@@ -476,24 +447,12 @@ func (s *Suite) ProbeCost() host.Counters {
 
 // chargeActs adds delta metered activations and reports the budget
 // error once the cap is crossed (nil when no cap is set). The Used
-// value is the meter at the time of this charge, so on a serial chain
-// the message — and with it the report — is deterministic.
+// value is the meter at the time of this charge, so at -jobs 1 the
+// message — and with it the report — is deterministic.
 func (s *Suite) chargeActs(delta int64) *BudgetError {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.actsUsed += delta
-	return s.overBudgetLocked()
-}
-
-// chargeEnv charges the commands a shared device Env has issued since
-// it was last charged — the probe-chain cost, which Warm pays once but
-// every experiment on the device observes.
-func (s *Suite) chargeEnv(e *Env) *BudgetError {
-	acts := e.Commands().ACT
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.actsUsed += acts - s.envCharged[e]
-	s.envCharged[e] = acts
 	return s.overBudgetLocked()
 }
 
@@ -577,11 +536,12 @@ type Options struct {
 	// Trace, when non-nil, is the parent span the run's span tree hangs
 	// under: one "expt:<name>" span per selected experiment (in
 	// registration order), "unit:<index>"/"kernel" spans below
-	// partitioned ones, and one "warm:<device>" span per shared device
-	// carrying the probe-chain command cost. Span IDs derive from the
-	// trace ID and the scheduler path, so the tree shape is
-	// byte-identical for any Jobs/Shards value (trace.ShapeNDJSON);
-	// tracing can never change a byte of the report.
+	// partitioned ones, and one timed "warm:<device>" span per shared
+	// device carrying the probe-chain command cost (and the warm-up's
+	// error, if it failed). Span IDs derive from the trace ID and the
+	// scheduler path, so the tree shape is byte-identical for any
+	// Jobs/Shards value (trace.ShapeNDJSON); tracing can never change a
+	// byte of the report.
 	Trace *trace.Span
 }
 
@@ -592,9 +552,6 @@ type Options struct {
 type unitOut struct {
 	val interface{}
 	err error
-	// asIs marks a failure of the partition's device (its Env or
-	// warm-up), which the merge reports without the unit prefix.
-	asIs bool
 }
 
 // partState is the shared state of one partitioned experiment's nodes.
@@ -614,23 +571,37 @@ func (st *partState) began(t time.Time) {
 	st.startOnce.Do(func() { st.start = t })
 }
 
-// node is one scheduled step: an experiment, or a hidden shard of a
-// partitioned experiment.
+// device is one shared device's warm-up outcome. Its warm node writes
+// env or err; every node of an experiment on the device reads them
+// after that node completed, so the scheduler's completion edge is the
+// happens-before and neither side locks.
+type device struct {
+	name  string
+	level ProbeLevel // the deepest Needs.Probe among the selection
+	env   *Env
+	err   error
+}
+
+// node is one scheduled step: an experiment, a hidden shard of a
+// partitioned experiment, or a shared device's hidden warm-up.
 type node struct {
-	exp        *Experiment
+	exp        *Experiment // nil on a warm node
 	job        *Job
 	res        *ExptResult
 	pending    int // unfinished dependencies
 	dependents []*node
 	failedDep  string
 
-	// hidden marks shard nodes: scheduled like any node but absent
-	// from the report (their experiment's visible node reports).
+	// hidden marks shard and warm nodes: scheduled like any node but
+	// absent from the report.
 	hidden bool
 	// part is set on a partitioned experiment's visible (merge) node.
 	part *partState
 	// shard is set on hidden shard nodes: the unit range to execute.
 	shard *shardRange
+	// warm is set on a device's warm node; dev on every node of an
+	// experiment that declares Needs.Device.
+	warm, dev *device
 }
 
 // shardRange is one shard node's slice of a partition.
@@ -752,6 +723,11 @@ func (s *Suite) Run(opt Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for n := range ready {
+				if n.warm != nil {
+					s.warmUp(n.warm)
+					finish(n, "")
+					continue
+				}
 				s.runNode(n)
 				if !n.hidden && opt.OnResult != nil {
 					opt.OnResult(reportIdx[n], total, n.res)
@@ -773,32 +749,10 @@ func (s *Suite) Run(opt Options) (*Report, error) {
 	}
 	wg.Wait()
 
-	// One warm span per shared device Env, in device-name order:
-	// exactly the probe-chain cost (the only commands those Envs' hosts
-	// ever issue), which is a pure function of (profile, seed, level) —
-	// zero on a store-warmed run, truthfully attributed either way.
-	if s.traceSpan != nil {
-		s.mu.Lock()
-		devs := make([]string, 0, len(s.envs))
-		for d := range s.envs {
-			devs = append(devs, d)
-		}
-		sort.Strings(devs)
-		for _, d := range devs {
-			e := s.envs[d]
-			w := s.traceSpan.Child("warm:"+d, "warm "+d)
-			w.SetAttr("device", d)
-			w.SetAttr("level", int(s.warmLevel[d]))
-			w.AddCounters(e.Commands())
-			w.AddBatches(e.Host.Batches())
-		}
-		s.mu.Unlock()
-	}
-
-	// Every measurement is done and the warm spans are recorded: from
-	// here on only the device Envs' host counters are read (ProbeCost,
-	// ActivationsUsed), so their devices' memory goes back to the chip
-	// package for the next suite's devices.
+	// Every measurement is done: from here on only the device Envs'
+	// host counters are read (ProbeCost, ActivationsUsed), so their
+	// devices' memory goes back to the chip package for the next
+	// suite's devices.
 	s.mu.Lock()
 	for _, e := range s.envs {
 		e.free()
@@ -850,9 +804,15 @@ func (s *Suite) runNode(n *node) {
 		// Canceled before this step started. A shard records the
 		// cancellation per unit; its merge node, canceled too, reports
 		// the context's error.
-		n.fail(s.ctx.Err(), false)
+		n.fail(s.ctx.Err())
 	case n.failedDep != "":
 		n.res.Err = fmt.Errorf("skipped: dependency %s failed", n.failedDep)
+	case n.dev != nil && n.dev.err != nil:
+		// The device's warm-up failed: a Run or a merge reports its
+		// error as is, and a shard records nothing.
+		if n.shard == nil {
+			n.res.Err = n.dev.err
+		}
 	case n.part != nil:
 		// Visible node of a partitioned experiment: merge. The merge
 		// touches no device; its span records only the (out-of-band)
@@ -881,58 +841,88 @@ func (s *Suite) runNode(n *node) {
 // visible node carries it on its result. A shard node records it on
 // every unit of its range instead: failing as a node would make its
 // (hidden, unreported) name the blame target and hide the root cause,
-// while the merge surfaces the lowest-index unit failure. asIs marks a
-// failure of the partition's device itself, which the merge reports
-// unwrapped, exactly as a monolithic experiment would.
-func (n *node) fail(err error, asIs bool) {
+// while the merge surfaces the lowest-index unit failure.
+func (n *node) fail(err error) {
 	if n.shard == nil {
 		n.res.Err = err
 		return
 	}
 	for i := n.shard.lo; i < n.shard.hi; i++ {
-		n.shard.state.outs[i] = unitOut{err: err, asIs: asIs}
+		n.shard.state.outs[i] = unitOut{err: err}
 	}
 }
 
+// warmUp is a shared device's warm node, the one place the suite
+// builds a device Env: it warms the probe chain to the deepest level
+// the selection declares for the device (a store hit primes the cache
+// instead of probing, which no clone can tell apart), charges the
+// chain to the meter once, and times one "warm:<device>" span with its
+// command cost. A failure never fails the node: it is left on d for
+// every experiment on the device to report.
+func (s *Suite) warmUp(d *device) {
+	w := s.traceSpan.Child("warm:"+d.name, "warm "+d.name)
+	w.SetAttr("device", d.name)
+	w.SetAttr("level", int(d.level))
+	w.Begin()
+	d.env, d.err = s.warmEnv(d.name, d.level)
+	if d.env != nil {
+		w.AddCounters(d.env.Commands())
+		w.AddBatches(d.env.Host.Batches())
+	}
+	if d.err != nil {
+		w.SetAttr("error", d.err.Error())
+	}
+	w.End()
+}
+
+// warmEnv builds, warms and charges one device's Env, with a seed split
+// from the suite seed by device name, unless the run is canceled or
+// already over budget.
+func (s *Suite) warmEnv(device string, level ProbeLevel) (*Env, error) {
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	if be := s.overBudget(); be != nil {
+		return nil, be
+	}
+	prof, ok := s.profiles[device]
+	if !ok {
+		prof, ok = topo.ByName(device)
+	}
+	if !ok {
+		return nil, fmt.Errorf("suite: unknown device profile %q", device)
+	}
+	env, err := NewEnv(prof, rng.Split(s.seed, "env:"+device))
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.envs[device] = env
+	s.mu.Unlock()
+	err = env.WarmStored(s.store, level)
+	if be := s.chargeActs(env.Commands().ACT); be != nil && err == nil {
+		err = be
+	}
+	return env, err
+}
+
 // runStep runs a Run or a shard node's units: the budget pre-flight,
-// the shared device's warm-up, then the measurement on a clone of it.
+// then the measurement on a clone of the device's warmed Env.
 func (s *Suite) runStep(n *node, espan *trace.Span) {
 	// Pre-flight budget check: once the meter has crossed the cap,
 	// steps that have not started fail instead of issuing more
 	// commands. Note that which step first observes a mid-run crossing
 	// can depend on scheduling; a budget-stopped report is
-	// deterministic on a serial chain (-jobs 1) and for caps that stop
-	// the run at its first charge, but not in general — the budget
-	// bounds device work, it is not part of the byte-stability contract.
+	// deterministic at -jobs 1 and for caps that stop the run at its
+	// first charge, but not in general — the budget bounds device
+	// work, it is not part of the byte-stability contract.
 	if be := s.overBudget(); be != nil {
-		n.fail(be, false)
+		n.fail(be)
 		return
 	}
 	var env *Env
-	if dev := n.exp.Needs.Device; dev != "" {
-		var err error
-		env, err = s.env(dev)
-		if err == nil {
-			// Warm to the deepest level any selected experiment on
-			// this device declared (set during planning), so the
-			// device's probe history is fixed before the first
-			// measurement. With a store configured, a hit primes the
-			// cache instead of probing — the shared Env then issues
-			// zero probe commands and measurements (which always run
-			// on pristine clones) cannot tell the difference.
-			err = env.WarmStored(s.store, n.exp.Needs.Probe)
-		}
-		if err != nil {
-			n.fail(err, true)
-			return
-		}
-		// The warm-up just charged its probe chain (once per device —
-		// chargeEnv meters the delta since the last charge). A chain
-		// that itself blows the cap fails the step that warmed it.
-		if be := s.chargeEnv(env); be != nil {
-			n.fail(be, false)
-			return
-		}
+	if n.dev != nil {
+		env = n.dev.env
 	}
 	if n.shard != nil {
 		s.runShard(n, env)
@@ -1043,12 +1033,9 @@ func (s *Suite) runMerge(n *node) {
 		if o.err == nil {
 			continue
 		}
-		n.res.Err = o.err
-		if !o.asIs {
-			// %w keeps typed unit failures (context errors, budget
-			// errors) visible to errors.As without changing the message.
-			n.res.Err = fmt.Errorf("unit %d/%d: %w", i, len(outs), o.err)
-		}
+		// %w keeps typed unit failures (context errors, budget errors)
+		// visible to errors.As without changing the message.
+		n.res.Err = fmt.Errorf("unit %d/%d: %w", i, len(outs), o.err)
 		return
 	}
 	vals := make([]interface{}, len(outs))
@@ -1069,18 +1056,17 @@ func protect(fn func() error) (err error) {
 }
 
 // plan selects experiments, expands After closures, and builds the
-// dependency graph: explicit After edges plus an implicit serial chain
-// through each shared device in registration order. Probe levels per
-// device are raised to the selection's maximum so warming is
-// selection-order independent.
+// dependency graph: explicit After edges plus one hidden warm node per
+// shared device, which every node of an experiment on that device
+// depends on. The warm node warms to the deepest probe level the
+// selection declares for its device, so warming is selection-order
+// independent; experiments on one device have no edge between them.
 //
 // Partitioned experiments are compiled into the same graph: their
 // units are batched onto up to `shards` hidden shard nodes that inherit
-// the experiment's dependencies (so they fan out in parallel once the
-// device chain reaches the experiment), and the experiment's visible
-// node depends on all of them and runs Merge. The chain successor
-// hangs off the visible node, so on a shared device the partition
-// occupies one chain slot exactly like a monolithic experiment.
+// the experiment's dependencies (so they fan out in parallel once
+// those complete), and the experiment's visible node depends on all of
+// them and runs Merge.
 func (s *Suite) plan(only []string, shards int) ([]*node, error) {
 	selected, err := s.selectionSet(only)
 	if err != nil {
@@ -1090,14 +1076,10 @@ func (s *Suite) plan(only []string, shards int) ([]*node, error) {
 	// Deepest probe level per device across the selection.
 	maxProbe := make(map[string]ProbeLevel)
 	for _, e := range s.exps {
-		if !selected[e.Name] || e.Needs.Device == "" {
-			continue
-		}
-		if e.Needs.Probe > maxProbe[e.Needs.Device] {
-			maxProbe[e.Needs.Device] = e.Needs.Probe
+		if dev := e.Needs.Device; selected[e.Name] && dev != "" && e.Needs.Probe > maxProbe[dev] {
+			maxProbe[dev] = e.Needs.Probe
 		}
 	}
-	s.warmLevel = maxProbe
 
 	var nodes []*node
 	serial := make(map[*node]int) // creation order, for stable sorting
@@ -1112,31 +1094,32 @@ func (s *Suite) plan(only []string, shards int) ([]*node, error) {
 		}
 	}
 	byName := make(map[string]*node)
-	lastOnDevice := make(map[string]*node)
-	for _, e := range s.exps {
-		if !selected[e.Name] {
+	warmNode := make(map[string]*node)
+	for _, exp := range s.exps {
+		if !selected[exp.Name] {
 			continue
 		}
-		exp := *e
-		if exp.Needs.Device != "" {
-			exp.Needs.Probe = maxProbe[exp.Needs.Device]
-		}
-		visible := make(map[string]bool, len(e.Needs.After))
-		for _, dep := range e.Needs.After {
+		visible := make(map[string]bool, len(exp.Needs.After))
+		for _, dep := range exp.Needs.After {
 			visible[dep] = true
 		}
 		n := &node{
-			exp: &exp,
-			job: &Job{name: e.Name, seed: rng.Split(s.seed, "expt:"+e.Name), suite: s, deps: visible},
+			exp: exp,
+			job: &Job{name: exp.Name, seed: rng.Split(s.seed, "expt:"+exp.Name), suite: s, deps: visible},
 		}
 		deps := make(map[*node]bool)
-		for _, dep := range e.Needs.After {
+		for _, dep := range exp.Needs.After {
 			deps[byName[dep]] = true
 		}
-		if e.Needs.Device != "" {
-			if prev := lastOnDevice[e.Needs.Device]; prev != nil {
-				deps[prev] = true
+		if dev := exp.Needs.Device; dev != "" {
+			w := warmNode[dev]
+			if w == nil {
+				w = &node{hidden: true, warm: &device{name: dev, level: maxProbe[dev]}}
+				warmNode[dev] = w
+				add(w)
 			}
+			n.dev = w.warm
+			deps[w] = true
 		}
 
 		if exp.Part != nil {
@@ -1157,9 +1140,10 @@ func (s *Suite) plan(only []string, shards int) ([]*node, error) {
 			shardDeps := make(map[*node]bool, count)
 			for k := 0; k < count; k++ {
 				sn := &node{
-					exp:    n.exp,
+					exp:    exp,
 					hidden: true,
 					shard:  &shardRange{state: st, lo: k * units / count, hi: (k + 1) * units / count},
+					dev:    n.dev,
 				}
 				link(sn, deps)
 				add(sn)
@@ -1169,10 +1153,7 @@ func (s *Suite) plan(only []string, shards int) ([]*node, error) {
 		} else {
 			link(n, deps)
 		}
-		if e.Needs.Device != "" {
-			lastOnDevice[e.Needs.Device] = n
-		}
-		byName[e.Name] = n
+		byName[exp.Name] = n
 		add(n)
 	}
 	// Deterministic dependent ordering (map iteration above). Shard

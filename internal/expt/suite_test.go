@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dramscope/internal/stats"
 	"dramscope/internal/topo"
@@ -142,9 +143,9 @@ func TestSuiteDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestSuiteDeviceChainOrder checks that experiments sharing a device
-// execute serially in registration order, and that the fan-in step
-// runs after all of its dependencies.
+// TestSuiteDeviceChainOrder checks that the fan-in step runs after all
+// of its dependencies. Experiments sharing a device have no order
+// between them (TestSuiteSameDeviceConcurrent).
 func TestSuiteDeviceChainOrder(t *testing.T) {
 	t.Parallel()
 	var order []string
@@ -156,11 +157,125 @@ func TestSuiteDeviceChainOrder(t *testing.T) {
 	if len(pos) != 4 {
 		t.Fatalf("ran %v, want 4 distinct experiments", order)
 	}
-	if pos["a"] > pos["b"] {
-		t.Errorf("shared-device chain out of order: %v", order)
-	}
 	if pos["d"] < pos["a"] || pos["d"] < pos["b"] || pos["d"] < pos["c"] {
 		t.Errorf("fan-in ran before a dependency: %v", order)
+	}
+}
+
+// TestSuiteSameDeviceConcurrent checks that experiments on one device
+// run concurrently: each measures on its own clone of the warmed Env,
+// so nothing orders them, and at -jobs 2 both are in flight at once.
+// Each waits at a barrier for the other, which a serial chain through
+// the device could never satisfy.
+func TestSuiteSameDeviceConcurrent(t *testing.T) {
+	t.Parallel()
+	s := NewSuite(7)
+	s.RegisterProfile(topo.Small())
+	arrived := map[string]chan struct{}{"left": make(chan struct{}), "right": make(chan struct{})}
+	other := map[string]string{"left": "right", "right": "left"}
+	for _, name := range []string{"left", "right"} {
+		if err := s.Register(Experiment{
+			Name: name, Title: name,
+			Needs: Needs{Device: topo.Small().Name, Probe: ProbeOrder},
+			Run: func(j *Job) error {
+				close(arrived[j.Name()])
+				select {
+				case <-arrived[other[j.Name()]]:
+				case <-time.After(10 * time.Second):
+					return fmt.Errorf("the other experiment on the device never started")
+				}
+				ro, err := j.Env().Order()
+				if err != nil {
+					return err
+				}
+				j.Printf("remapped: %v\n", ro.Remapped())
+				return nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := s.Run(Options{Spec: RunSpec{Jobs: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSuiteSameDeviceFailureIsolated checks that a failed experiment
+// does not skip the other experiments on its device, which never read
+// its state, at any worker count; its After dependents are still
+// skipped.
+func TestSuiteSameDeviceFailureIsolated(t *testing.T) {
+	t.Parallel()
+	dev := topo.Small().Name
+	for _, jobs := range []int{1, 4} {
+		s := NewSuite(7)
+		s.RegisterProfile(topo.Small())
+		for _, e := range []Experiment{
+			{
+				Name:  "broken",
+				Needs: Needs{Device: dev, Probe: ProbeOrder},
+				Run:   func(*Job) error { return fmt.Errorf("kaput") },
+			},
+			{
+				Name: "sibling", Title: "sibling",
+				Needs: Needs{Device: dev, Probe: ProbeOrder},
+				Run: func(j *Job) error {
+					ro, err := j.Env().Order()
+					if err != nil {
+						return err
+					}
+					j.Printf("remapped: %v\n", ro.Remapped())
+					return nil
+				},
+			},
+			{
+				Name: "units", Title: "units",
+				Needs: Needs{Device: dev, Probe: ProbeOrder},
+				Part: &Partition{
+					Units: 3,
+					Unit:  func(sj *ShardJob) (interface{}, error) { return sj.Unit(), nil },
+					Merge: func(j *Job, vals []interface{}) error {
+						j.Printf("units: %v\n", vals)
+						return nil
+					},
+				},
+			},
+			{
+				Name:  "dependent",
+				Needs: Needs{After: []string{"broken"}},
+				Run:   func(*Job) error { return nil },
+			},
+		} {
+			if err := s.Register(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := s.Run(Options{Spec: RunSpec{Jobs: jobs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{
+			"broken":    "kaput",
+			"sibling":   "",
+			"units":     "",
+			"dependent": "skipped: dependency broken failed",
+		}
+		for _, res := range rep.Results {
+			got := ""
+			if res.Err != nil {
+				got = res.Err.Error()
+			}
+			if got != want[res.Name] {
+				t.Errorf("jobs=%d: %s err = %q, want %q", jobs, res.Name, got, want[res.Name])
+			}
+		}
+		if got := rep.Text(); got != "== sibling ==\nremapped: true\n== units ==\nunits: [0 1 2]\n" {
+			t.Errorf("jobs=%d: text = %q", jobs, got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -175,6 +176,66 @@ func TestTraceKernelCostAttribution(t *testing.T) {
 	}
 	if w.Counters == nil || w.Counters.ACT == 0 {
 		t.Errorf("warm span carries no probe cost: %+v", w)
+	}
+}
+
+// TestTraceWarmSpan asserts that a device's warm node times its span
+// and that a failed warm-up records its error there, beside the
+// experiments that report it.
+func TestTraceWarmSpan(t *testing.T) {
+	t.Parallel()
+	s := NewSuite(7)
+	s.RegisterProfile(topo.Small())
+	for _, dev := range []string{topo.Small().Name, "ghost-device"} {
+		if err := s.Register(Experiment{
+			Name:  "on:" + dev,
+			Needs: Needs{Device: dev, Probe: ProbeOrder},
+			Run:   func(*Job) error { return nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := trace.New("warm")
+	root := rec.Root("run", "run").Begin()
+	if _, err := s.Run(Options{Spec: RunSpec{Jobs: 2}, Trace: root}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	paths := make(map[string]trace.Record)
+	for _, r := range rec.Records() {
+		paths[r.Path] = r
+	}
+	attrs := func(r trace.Record) (a struct {
+		Device string `json:"device"`
+		Level  int    `json:"level"`
+		Error  string `json:"error"`
+	}) {
+		if err := json.Unmarshal(r.Attrs, &a); err != nil {
+			t.Fatalf("%s attrs %s: %v", r.Path, r.Attrs, err)
+		}
+		return a
+	}
+
+	cold, ok := paths["run/warm:"+topo.Small().Name]
+	if !ok {
+		t.Fatalf("missing warm span; have %v", pathList(rec.Records()))
+	}
+	if cold.DurUs <= 0 || cold.Counters == nil || cold.Counters.ACT == 0 {
+		t.Errorf("cold warm span is untimed or carries no probe cost: %+v", cold)
+	}
+	if a := attrs(cold); a.Device != topo.Small().Name || a.Level != int(ProbeOrder) || a.Error != "" {
+		t.Errorf("cold warm span attrs %s", cold.Attrs)
+	}
+
+	ghost, ok := paths["run/warm:ghost-device"]
+	if !ok {
+		t.Fatalf("missing failed warm span; have %v", pathList(rec.Records()))
+	}
+	if want := `suite: unknown device profile "ghost-device"`; attrs(ghost).Error != want {
+		t.Errorf("failed warm span attrs %s, want error %q", ghost.Attrs, want)
+	}
+	if ghost.DurUs <= 0 || ghost.Counters != nil {
+		t.Errorf("failed warm span: %+v", ghost)
 	}
 }
 

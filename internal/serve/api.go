@@ -181,9 +181,14 @@ type CampaignRequest struct {
 // campaign order. With explicit Specs, the shared
 // Only/Jobs/Shards/MaxActivations fields fill in whatever a member
 // left unset (a member's own non-zero field wins), so the documented
-// "applied to every run" semantics hold on both request shapes.
-func (req CampaignRequest) expand() ([]RunRequest, error) {
+// "applied to every run" semantics hold on both request shapes. admit
+// gets the member count before any member is built; its error aborts
+// the expansion.
+func (req CampaignRequest) expand(admit func(members int) error) ([]RunRequest, error) {
 	if len(req.Specs) > 0 {
+		if err := admit(len(req.Specs)); err != nil {
+			return nil, err
+		}
 		out := make([]RunRequest, len(req.Specs))
 		for i, rr := range req.Specs {
 			if len(rr.Only) == 0 {
@@ -213,6 +218,9 @@ func (req CampaignRequest) expand() ([]RunRequest, error) {
 	seeds := req.Seeds
 	if len(seeds) == 0 {
 		seeds = []uint64{expt.DefaultSeed}
+	}
+	if err := admit(len(profiles) * len(seeds)); err != nil {
+		return nil, err
 	}
 	var out []RunRequest
 	for _, prof := range profiles {

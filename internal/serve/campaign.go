@@ -85,9 +85,16 @@ func (c *campaign) status(withReport bool) CampaignStatus {
 // is all-or-nothing: the campaign reserves an execution slot per
 // member and charges the client quota for the whole population up
 // front, so a campaign either fits entirely (429 otherwise) and can
-// never deadlock half-admitted against the queue cap.
+// never deadlock half-admitted against the queue cap. A campaign the
+// queue cannot hold is refused by its member count, before any member
+// is resolved: each resolution builds a suite, and the body cap lets a
+// request name millions of members.
 func (m *Manager) StartCampaign(req CampaignRequest, client string) (*campaign, error) {
-	reqs, err := req.expand()
+	reqs, err := req.expand(func(members int) error {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.slotErrLocked(members)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -121,18 +128,11 @@ func (m *Manager) StartCampaign(req CampaignRequest, client string) (*campaign, 
 			return nil, ErrQuotaExceeded
 		}
 	}
-	if !m.reserveSlots(len(specs)) {
+	if err := m.reserveSlots(len(specs)); err != nil {
 		if m.quota != nil {
 			m.quota.release(client, quotaCost)
 		}
-		m.mu.Lock()
-		draining := m.draining
-		m.mu.Unlock()
-		if draining {
-			return nil, ErrDraining
-		}
-		m.metrics.rejectedQueue.Add(1)
-		return nil, ErrQueueFull
+		return nil, err
 	}
 
 	m.mu.Lock()

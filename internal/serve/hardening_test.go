@@ -560,6 +560,65 @@ func TestCampaignQueueReservation(t *testing.T) {
 	waitCampaignDone(t, ts, cs.ID)
 }
 
+// TestCampaignOversizedRejectedBeforeResolve: a campaign the queue
+// cannot hold is refused by its member count — 429 and one queue
+// rejection, with no member resolved (no suite built) — for explicit
+// specs and for a profile glob crossed with seeds alike, while a
+// campaign of exactly the capacity still admits and resolves each of
+// its members once.
+func TestCampaignOversizedRejectedBeforeResolve(t *testing.T) {
+	t.Parallel()
+	var execs, builds atomic.Int64
+	release := make(chan struct{})
+	close(release)
+	inner := countingBlockingFactory(&execs, make(chan struct{}, 16), release)
+	ts := newTestServer(t, Config{
+		Factory: func(profile string, seed uint64) (*expt.Suite, error) {
+			builds.Add(1)
+			return inner(profile, seed)
+		},
+		Budget: 1, QueueSize: 1, CacheSize: -1,
+	})
+
+	// Queue + workers hold 2.
+	for _, body := range []string{
+		`{"specs":[{"seed":11},{"seed":12},{"seed":13}]}`,
+		`{"profiles":"all","seeds":[1,2,3,4,5,6,7,8]}`,
+	} {
+		_, resp := postCampaign(t, ts, body)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("oversized campaign %s: status = %d, want 429", body, resp.StatusCode)
+		}
+		if got := builds.Load(); got != 0 {
+			t.Fatalf("oversized campaign %s resolved %d members before its 429", body, got)
+		}
+	}
+
+	cs, resp := postCampaign(t, ts, `{"specs":[{"seed":11},{"seed":12}]}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("campaign of exactly the capacity: status = %d, want 202", resp.StatusCode)
+	}
+	if got := waitCampaignDone(t, ts, cs.ID); got.State != StateDone {
+		t.Fatalf("fitting campaign state = %s, want done", got.State)
+	}
+	if got := builds.Load(); got != 2 {
+		t.Fatalf("fitting campaign resolved %d members, want 2", got)
+	}
+
+	var m Metrics
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Runs.RejectedQueue != 2 {
+		t.Errorf("metrics rejectedQueue = %d, want 2", m.Runs.RejectedQueue)
+	}
+}
+
 // waitCampaignDone polls a campaign until it leaves "running".
 func waitCampaignDone(t *testing.T, ts *httptest.Server, id string) CampaignStatus {
 	t.Helper()

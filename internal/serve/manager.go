@@ -313,10 +313,9 @@ func (m *Manager) admitRun(rs *expt.ResolvedSpec, suite *expt.Suite, opts admitO
 		f.addFollower(r)
 	} else {
 		if !opts.reserved {
-			if m.outstanding >= m.maxQueue+m.pool.Size() {
+			if err := m.slotErrLocked(1); err != nil {
 				m.mu.Unlock()
-				m.metrics.rejectedQueue.Add(1)
-				return nil, ErrQueueFull
+				return nil, err
 			}
 			m.outstanding++
 		}
@@ -382,17 +381,32 @@ func (r *run) completeFromEntry(e *cacheEntry) {
 	r.cached = r.finishLocked(outcome{state: StateDone, report: e.report, lines: e.lines, cached: true})
 }
 
+// slotErrLocked is the one queue-capacity rule: n more executions fit
+// unless the server is draining (ErrDraining) or they would take the
+// outstanding count past maxQueue plus the worker pool (ErrQueueFull,
+// counted as a queue rejection). Caller holds m.mu.
+func (m *Manager) slotErrLocked(n int) error {
+	if m.draining {
+		return ErrDraining
+	}
+	if m.outstanding+n > m.maxQueue+m.pool.Size() {
+		m.metrics.rejectedQueue.Add(1)
+		return ErrQueueFull
+	}
+	return nil
+}
+
 // reserveSlots atomically claims n execution slots for a campaign's
-// all-or-nothing admission; false means the queue cannot hold the
-// campaign and the whole request must be rejected.
-func (m *Manager) reserveSlots(n int) bool {
+// all-or-nothing admission; on slotErrLocked's rejection it claims
+// none and the whole request must be rejected.
+func (m *Manager) reserveSlots(n int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.draining || m.outstanding+n > m.maxQueue+m.pool.Size() {
-		return false
+	err := m.slotErrLocked(n)
+	if err == nil {
+		m.outstanding += n
 	}
-	m.outstanding += n
-	return true
+	return err
 }
 
 // releaseSlots returns n execution slots.
